@@ -34,7 +34,7 @@ from repro.core import (
     NaiveTracker,
     make_tracker,
 )
-from repro.bench.batch import BatchRunner, QuerySpec, compare_backends
+from repro.bench.batch import BatchRunner, compare_backends
 from repro.columnar import (
     ColumnarDatabase,
     ColumnarList,
@@ -44,7 +44,7 @@ from repro.columnar import (
     fast_quick_combine,
     fast_ta,
 )
-from repro.exec import ExecutionBackend, LocalColumnarBackend
+from repro.exec import ExecutionBackend, QuerySpec
 from repro.datagen import (
     CorrelatedGenerator,
     GaussianGenerator,
@@ -130,7 +130,6 @@ __all__ = [
     # query service
     "QueryService",
     "ExecutionBackend",
-    "LocalColumnarBackend",
     "ServiceResult",
     "ServiceStats",
     "ServicePolicy",

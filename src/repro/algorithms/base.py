@@ -152,9 +152,10 @@ class TopKAlgorithm(ABC):
         When non-None, :func:`repro.columnar.engine.get_kernel` returns a
         callable producing results *identical* to :meth:`run` — same
         ranked top-k, same access tallies, same extras — on a
-        :class:`repro.columnar.ColumnarDatabase`.  The batch runner
-        (:class:`repro.bench.batch.BatchRunner`) dispatches through this
-        hook; the equivalence is enforced by ``tests/differential/``.
+        :class:`repro.columnar.ColumnarDatabase`.  The single-node
+        executor (:func:`repro.exec.run.execute_query`) dispatches
+        through this hook; the equivalence is enforced by
+        ``tests/differential/``.
         """
         return None
 

@@ -15,7 +15,6 @@ Run from the command line::
 from repro.bench.batch import (
     BatchReport,
     BatchRunner,
-    QuerySpec,
     compare_backends,
     default_query_batch,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "list_figures",
     "BatchRunner",
     "BatchReport",
-    "QuerySpec",
     "default_query_batch",
     "compare_backends",
 ]

@@ -8,12 +8,12 @@ access sequence.  :class:`BatchRunner` implements that:
 
 * backend ``"python"`` — the reference algorithms on the pure-Python
   :class:`repro.lists.database.Database`;
-* backend ``"columnar"`` — a :class:`repro.columnar.ColumnarDatabase`;
-  queries whose algorithm configuration has an exact vectorized kernel
-  (``TopKAlgorithm.fast_kernel()``) run through
-  :mod:`repro.columnar.engine` with a shared per-scoring
-  :class:`QueryContext`; everything else runs the reference algorithm
-  against columnar storage through the generic metered accessors.
+* backend ``"columnar"`` — a :class:`repro.columnar.ColumnarDatabase`,
+  queried through :func:`repro.exec.run.execute_query`: configurations
+  with an exact vectorized kernel (``TopKAlgorithm.fast_kernel()``) run
+  it over a :class:`~repro.columnar.QueryContext` shared by every query
+  with the same scoring semantics; everything else runs the reference
+  algorithm against columnar storage through the metered accessors.
 
 Either way the results are identical — same ranked answers, same access
 tallies — which :func:`compare_backends` re-checks on every run before
@@ -23,30 +23,17 @@ reporting a speedup.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.algorithms.base import get_algorithm
-from repro.columnar import ColumnarDatabase, QueryContext, get_kernel
+from repro.columnar import ColumnarDatabase
 from repro.datagen.base import make_generator
+from repro.exec.keys import QuerySpec
+from repro.exec.run import execute_query
 from repro.lists.database import Database
 from repro.scoring import SUM, ScoringFunction
 from repro.types import TopKResult
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """One query of a batch: algorithm (by registry name), k, scoring.
-
-    ``options`` are keyword arguments for the algorithm's constructor
-    (e.g. ``{"memoize": True}``); non-default options usually disable
-    the vectorized kernel and fall back to the generic path.
-    """
-
-    algorithm: str = "bpa2"
-    k: int = 10
-    scoring: ScoringFunction = SUM
-    options: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -101,8 +88,9 @@ class BatchRunner:
                 if isinstance(database, ColumnarDatabase)
                 else database
             )
-        # One QueryContext per scoring function, shared across the batch.
-        self._contexts: dict[ScoringFunction, QueryContext] = {}
+        # One QueryContext per scoring semantics, shared across the batch
+        # (the ``contexts`` cache of :func:`execute_query`).
+        self._contexts: dict = {}
 
     @property
     def backend(self) -> str:
@@ -114,13 +102,6 @@ class BatchRunner:
         """The (possibly converted) database queries run against."""
         return self._database
 
-    def _context(self, scoring: ScoringFunction) -> QueryContext:
-        context = self._contexts.get(scoring)
-        if context is None:
-            context = QueryContext(self._database, scoring)
-            self._contexts[scoring] = context
-        return context
-
     def run_one(self, spec: QuerySpec) -> tuple[TopKResult, bool]:
         """Execute one query; returns (result, used_vectorized_kernel).
 
@@ -131,12 +112,17 @@ class BatchRunner:
         """
         k = min(spec.k, self._database.n)
         algorithm = get_algorithm(spec.algorithm, **dict(spec.options))
-        if self._backend == "columnar":
-            kernel_name = algorithm.fast_kernel()
-            if kernel_name is not None:
-                kernel = get_kernel(kernel_name)
-                return kernel(self._context(spec.scoring), k, spec.scoring), True
-        return algorithm.run(self._database, k, spec.scoring), False
+        if self._backend == "python":
+            return algorithm.run(self._database, k, spec.scoring), False
+        result = execute_query(
+            self._database,
+            self._contexts,
+            spec.algorithm,
+            spec.options,
+            k,
+            spec.scoring,
+        )
+        return result, algorithm.fast_kernel() is not None
 
     def run(self, queries: Sequence[QuerySpec]) -> BatchReport:
         """Execute the batch and time it end to end.

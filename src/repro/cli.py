@@ -96,10 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              choices=("uniform", "gaussian", "correlated"))
     distributed.add_argument("--alpha", type=float, default=0.01)
     distributed.add_argument("--transport", default="simulated",
-                             choices=("simulated", "local", "socket"),
-                             help="simulated in-process network, local "
-                                  "columnar arrays, or real multi-process "
-                                  "TCP owners")
+                             choices=("simulated", "socket"),
+                             help="simulated in-process network or real "
+                                  "multi-process TCP owners")
     distributed.add_argument("--protocol", default="entry",
                              choices=("entry", "batch", "pipelined"),
                              help="wire protocol (pipelined = batched "
@@ -386,10 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cl_serve.add_argument("--placement", default="contiguous",
                           choices=("contiguous", "striped"),
                           help="list-to-owner assignment strategy")
-    cl_serve.add_argument("--columnar", default="auto",
-                          choices=("auto", "entry", "columnar"),
-                          help="owner serving path (auto = vectorized when "
-                               "the lists support it)")
     cl_serve.add_argument("--include-position", action="store_true",
                           help="ship positions in lookup responses "
                                "(BPA-family clients)")
@@ -418,8 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "the current imbalance")
     cl_bench = cluster_sub.add_parser(
         "bench",
-        help="measure per-owner frame coalescing and the columnar serving "
-             "path (writes reports/cluster_speedup.json)",
+        help="measure per-owner frame coalescing and placement "
+             "rebalancing (writes reports/cluster_speedup.json)",
     )
     cl_bench.add_argument("--n", type=int, default=2_000)
     cl_bench.add_argument("--m", type=int, default=4)
@@ -432,12 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="repeats per socket cell (best kept)")
     cl_bench.add_argument("--block-width", type=int, default=8,
                           help="block width for the *-block rows")
-    cl_bench.add_argument("--micro-n", type=int, default=20_000,
-                          help="list length for the columnar sorted_block "
-                               "microbenchmark")
     cl_bench.add_argument("--smoke", action="store_true",
-                          help="tiny CI preset (n=400, 2 repeats, "
-                               "micro-n=5000)")
+                          help="tiny CI preset (n=400, 2 repeats)")
     cl_bench.add_argument("--out", default=None, metavar="FILE",
                           help="report path "
                                "(default: reports/cluster_speedup.json)")
@@ -1290,7 +1281,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         args.snapshot,
         owners=args.owners or None,
         placement=args.placement,
-        columnar=args.columnar,
         include_position=args.include_position,
         latency_sample_k=args.latency_sample_k,
     )
@@ -1415,11 +1405,9 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         repeats=args.repeats,
         block_width=args.block_width,
-        micro_n=args.micro_n,
     )
     if args.smoke:
-        settings.update(n=min(args.n, 400), repeats=min(args.repeats, 2),
-                        micro_n=min(args.micro_n, 5_000))
+        settings.update(n=min(args.n, 400), repeats=min(args.repeats, 2))
     report = cluster_speedup_benchmark(**settings)
     out = write_report(report, args.out or "reports/cluster_speedup.json")
     config = report["socket"]["config"]
@@ -1439,10 +1427,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         marker = "" if row["full_fanout_rounds"] else "  (probe waves only)"
         print(f"{label:>14} {base['messages']:>13,} {two['messages']:>13,} "
               f"{reduction:>9.2f}x {speedup:>12.2f}x{marker}")
-    micro = report["columnar_sorted_block"]
-    print(f"columnar sorted_block serving: {micro['speedup']:.2f}x over "
-          f"per-entry (n={micro['config']['n']:,}, "
-          f"block {micro['config']['block']})")
     rebalance = report["placement_rebalance"]
     print(f"placement rebalance (skewed {rebalance['config']['m']}-list "
           f"layout): imbalance {rebalance['imbalance_before']:.3f} -> "
@@ -1453,12 +1437,10 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     print(f"  meets 2x frame reduction at 2 owners: "
           f"{summary['meets_2x_frames']}")
     print(f"  wall-clock faster at 2 owners: {summary['wall_clock_faster']}")
-    print(f"  columnar faster than per-entry: {summary['columnar_faster']}")
     print(f"  rebalance improves balance: "
           f"{summary['rebalance_improves_balance']}")
     print(f"report written to {out}")
     ok = (summary["meets_2x_frames"] and summary["wall_clock_faster"]
-          and summary["columnar_faster"]
           and summary["rebalance_improves_balance"])
     return 0 if ok else 1
 

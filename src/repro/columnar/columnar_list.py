@@ -31,6 +31,8 @@ from repro.errors import (
 )
 from repro.types import ItemId, ListEntry, Position, Score
 
+_INT64 = np.dtype(np.int64)
+
 
 class ColumnarList:
     """An immutable sorted list backed by ``items``/``scores`` arrays.
@@ -293,7 +295,15 @@ class ColumnarList:
 
     def rows_of(self, items: np.ndarray) -> np.ndarray:
         """Dense row index (into ``uids_array``) of each item id."""
-        items = np.asarray(items, dtype=np.int64)
+        items = np.asarray(items)
+        if items.dtype != _INT64:
+            if items.size and items.dtype.kind not in "iu":
+                # Casting would truncate 1.5 to item 1; ids are integers.
+                raise UnknownItemError(
+                    f"item ids must be integers, got {items.dtype} "
+                    f"in list {self._name or '?'}"
+                )
+            items = items.astype(np.int64)
         n = len(self._items_list)
         if self._dense:
             if items.size and (int(items.min()) < 0 or int(items.max()) >= n):

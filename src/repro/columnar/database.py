@@ -40,14 +40,12 @@ class DatabaseLayout:
 
     The plain-list translation of :meth:`ColumnarDatabase.position_matrix`
     and the score columns (scalar indexing on lists is ~3x faster than
-    NumPy element access), derived once per database and shared — the
-    kernels' :class:`repro.columnar.QueryContext` and the unified
-    drivers' :class:`repro.exec.backend.LocalColumnarBackend` both read
-    it, so the layout cannot silently diverge between them.  Treat every
-    field as read-only: the lists are aliased across all consumers.
+    NumPy element access), derived once per database and shared by every
+    kernel :class:`repro.columnar.QueryContext` built over it.  Treat
+    every field as read-only: the lists are aliased across all consumers.
     """
 
-    __slots__ = ("ids", "rows_at", "pos_of", "pos1_by_row", "score_at", "row_of")
+    __slots__ = ("ids", "rows_at", "pos_of", "pos1_by_row", "score_at")
 
     def __init__(self, database: "ColumnarDatabase") -> None:
         position_matrix = database.position_matrix()
@@ -66,10 +64,6 @@ class DatabaseLayout:
             self.score_at.append(columnar_list.scores_array.tolist())
         #: row -> its 1-based position in every list (list order).
         self.pos1_by_row: list[list[int]] = (position_matrix.T + 1).tolist()
-        #: item id -> row.
-        self.row_of: dict[int, int] = {
-            item: row for row, item in enumerate(self.ids)
-        }
 
     @classmethod
     def patched(
@@ -81,15 +75,13 @@ class DatabaseLayout:
         """Carry a predecessor's layout forward across a snapshot patch.
 
         Valid only when the patch changed no membership (``database`` has
-        exactly ``previous``'s item rows): the id-indexed structures
-        (``ids``, ``row_of``) are shared outright, untouched lists keep
-        their per-list structures by reference, and only the lists in
-        ``touched`` re-derive theirs.  ``pos1_by_row`` is cross-list and
+        exactly ``previous``'s item rows): the row -> id list ``ids`` is
+        shared outright, untouched lists keep their per-list structures
+        by reference, and only the lists in ``touched`` re-derive theirs.  ``pos1_by_row`` is cross-list and
         rebuilt from the (cheap, array-reusing) position matrix.
         """
         layout = cls.__new__(cls)
         layout.ids = previous.ids
-        layout.row_of = previous.row_of
         layout.rows_at = list(previous.rows_at)
         layout.pos_of = list(previous.pos_of)
         layout.score_at = list(previous.score_at)

@@ -9,7 +9,8 @@ float for float — against flat columns:
 * all per-database work (canonical ordering, the item→position matrix,
   per-item overall scores under the scoring function) is hoisted into a
   :class:`QueryContext`, built once with NumPy and shared by every query
-  of a batch (see :class:`repro.bench.batch.BatchRunner`);
+  with the same scoring semantics (see
+  :func:`repro.exec.run.execute_query`, the one kernel dispatcher);
 * the per-query replay loop then touches nothing but flat lists,
   bytearrays and the shared :class:`TopKBuffer`.
 

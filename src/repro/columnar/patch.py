@@ -267,10 +267,9 @@ def patch_database(
         labels.pop(item, None)
     patched = ColumnarDatabase(new_lists, labels=labels or None)
     if not membership_changed and database._layout is not None:
-        # Layout memoization tracks the patched snapshot: consumers that
-        # derived the predecessor's layout (kernels' QueryContext, the
-        # unified drivers' LocalColumnarBackend) get the successor's
-        # without a from-scratch derivation on first query.
+        # Layout memoization tracks the patched snapshot: the kernels'
+        # QueryContext, which derived the predecessor's layout, gets the
+        # successor's without a from-scratch derivation on first query.
         patched._layout = DatabaseLayout.patched(
             database._layout, patched, touched_lists
         )

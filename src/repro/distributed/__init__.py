@@ -18,9 +18,9 @@ those arguments measurable:
   protocol served by real OS processes over length-prefixed TCP framing
   (:mod:`repro.distributed.socket_transport`), multi-tenant since
   :class:`ClusterPlacement` assigns lists to a configurable number of
-  :class:`OwnerDaemon` processes (per-owner frame coalescing, a
-  :class:`ColumnarOwnerNode` vectorized serving path, ``.bpsn``
-  warm starts and a ``state``-frame metrics endpoint);
+  :class:`OwnerDaemon` processes (per-owner frame coalescing, NumPy
+  gathers over columnar lists, ``.bpsn`` warm starts and a
+  ``state``-frame metrics endpoint);
 * coordinator-side drivers: :class:`DistributedTA`,
   :class:`DistributedBPA`, :class:`DistributedBPA2` (thin transport
   wrappers over the unified core) and the related-work baseline
@@ -32,7 +32,7 @@ carry a :class:`NetworkStats` snapshot.
 
 from repro.distributed.daemon import LatencyReservoir, OwnerDaemon
 from repro.distributed.network import NetworkStats, SimulatedNetwork
-from repro.distributed.nodes import ColumnarOwnerNode, ListOwnerNode
+from repro.distributed.nodes import ListOwnerNode
 from repro.distributed.placement import ClusterPlacement
 from repro.distributed.transport import NetworkBackend
 from repro.distributed.socket_transport import (
@@ -58,7 +58,6 @@ __all__ = [
     "OwnerDaemon",
     "LatencyReservoir",
     "ListOwnerNode",
-    "ColumnarOwnerNode",
     "DistributedTA",
     "DistributedBPA",
     "DistributedBPA2",

@@ -17,11 +17,12 @@ the plans are served —
   behind length-prefixed TCP framing
   (:mod:`repro.distributed.socket_transport`); byte counters measure
   real frames, and ``protocol="pipelined"`` genuinely overlaps the
-  round trips (``repro dist-bench`` reports the wall-clock saving);
-* ``transport="local"``: the same driver over
-  :class:`repro.exec.LocalColumnarBackend` — no network at all, flat
-  columnar arrays, which is how the differential suite proves the
-  drivers bit-identical to the reference single-node algorithms.
+  round trips (``repro dist-bench`` reports the wall-clock saving).
+
+Both run the planners over owners; single-node queries run the
+vectorized kernels (:func:`repro.exec.run.execute_query`) instead.  The
+differential suites prove every transport and protocol bit-identical
+to the reference single-node algorithms.
 
 ``block_width > 1`` switches every transport to the block planners
 (``ta-block`` / ``bpa-block`` / ``bpa2-block``): one sorted or direct
@@ -40,7 +41,6 @@ from repro.distributed.placement import (
 )
 from repro.distributed.transport import PROTOCOLS, NetworkBackend
 from repro.errors import InvalidQueryError
-from repro.exec.backend import LocalColumnarBackend
 from repro.exec.drivers import (
     DriverOutcome,
     run_bpa,
@@ -54,7 +54,7 @@ from repro.lists.accessor import DatabaseLike
 from repro.scoring import SUM, ScoringFunction
 from repro.types import TopKResult
 
-TRANSPORTS = ("simulated", "local", "socket")
+TRANSPORTS = ("simulated", "socket")
 
 
 class _DistributedDriver:
@@ -72,7 +72,6 @@ class _DistributedDriver:
         block_width: "int | Callable[[], int]" = 1,
         owners: int | None = None,
         placement: str = "contiguous",
-        columnar: str = "auto",
     ) -> None:
         if transport not in TRANSPORTS:
             raise ValueError(
@@ -99,7 +98,6 @@ class _DistributedDriver:
         self._block_width = block_width
         self._owners = owners
         self._placement = placement
-        self._columnar = columnar
 
     def run(
         self, database: DatabaseLike, k: int, scoring: ScoringFunction = SUM
@@ -107,14 +105,7 @@ class _DistributedDriver:
         """Execute the query over a fresh deployment of the transport."""
         if not 1 <= k <= database.n:
             raise InvalidQueryError(f"k must be in 1..{database.n}, got {k}")
-        if self._transport == "local":
-            backend = LocalColumnarBackend(
-                database, include_position=self.include_position
-            )
-            outcome = self._drive(backend, k, scoring)
-            tally = backend.total_tally()
-            extras = {}
-        elif self._transport == "socket":
+        if self._transport == "socket":
             from repro.distributed.socket_transport import SocketCluster
 
             with SocketCluster(
@@ -123,7 +114,6 @@ class _DistributedDriver:
                 placement=self._placement,
                 tracker=self._tracker_kind,
                 include_position=self.include_position,
-                columnar=self._columnar,
             ) as cluster, cluster.connect() as fabric:
                 backend = NetworkBackend.remote(
                     fabric,
@@ -153,7 +143,6 @@ class _DistributedDriver:
                 include_position=self.include_position,
                 protocol=self._protocol,
                 placement=sim_placement,
-                columnar=self._columnar,
             )
             outcome = self._drive(backend, k, scoring)
             tally = backend.total_tally()

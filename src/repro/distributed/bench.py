@@ -4,9 +4,9 @@ Measures the three claims the round-plan execution engine makes:
 
 * **Bytes/messages.**  For each of TA/BPA/BPA2, the same query runs over
   the simulated network under the old per-entry protocol and under the
-  batched protocol, plus on the local columnar backend and the reference
-  single-node implementation.  All answers (and their access tallies)
-  must be identical — the benchmark raises otherwise — and the report
+  batched protocol, and on the reference single-node implementation.
+  All answers (and their access tallies) must be identical — the
+  benchmark raises otherwise — and the report
   records the message/byte reduction batch achieves over per-entry,
   alongside the best-position traffic BPA ships and BPA2 avoids.
 * **Pipelined wall-clock.**  Over the *real socket transport*
@@ -61,10 +61,9 @@ def transport_benchmark(
 ) -> dict:
     """Simulated-network wire costs per protocol for the three drivers.
 
-    Each requested protocol's run (plus the local columnar transport,
-    always) is verified item- and tally-identical to the reference
-    single-node algorithm; the entry-vs-batch reductions are reported
-    when both protocols were measured.
+    Each requested protocol's run is verified item- and tally-identical
+    to the reference single-node algorithm; the entry-vs-batch
+    reductions are reported when both protocols were measured.
     """
     database = make_generator(generator).generate(n, m, seed=seed)
     columnar = ColumnarDatabase.from_database(database)
@@ -75,7 +74,6 @@ def transport_benchmark(
             protocol: cls(protocol=protocol).run(columnar, k, SUM)
             for protocol in protocols
         }
-        runs["local"] = cls(transport="local").run(columnar, k, SUM)
         for label, result in runs.items():
             if result.items != reference.items or result.tally != reference.tally:
                 raise AssertionError(

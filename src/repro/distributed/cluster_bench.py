@@ -16,10 +16,9 @@ Measures the three claims the multi-tenant transport makes
   runs ``repeats`` times on a warm cluster (best time kept): fewer
   frames means fewer syscall round trips, so the co-located cluster
   should also be faster end to end.
-* **Columnar serving path.**  An in-process ``sorted_block`` drain of
-  one list through :class:`~repro.distributed.nodes.ColumnarOwnerNode`
-  (vectorized slices) versus the per-entry reference node — identical
-  responses required, the speedup reported.
+* **Placement rebalancing.**  A deliberately skewed placement serves a
+  verified mix; the owners' per-list load feeds the rebalancer, whose
+  proposal must not be less balanced than the skewed layout.
 
 ``repro cluster bench`` lands the JSON at
 ``reports/cluster_speedup.json`` (the CI ``cluster-smoke`` artifact);
@@ -41,7 +40,6 @@ from repro.distributed.algorithms import (
     DistributedTA,
 )
 from repro.distributed.bench import _run_over_socket
-from repro.distributed.daemon import OwnerDaemon
 from repro.distributed.placement import ClusterPlacement
 from repro.distributed.socket_transport import SocketCluster, connect_ports
 from repro.distributed.transport import NetworkBackend
@@ -258,67 +256,6 @@ def socket_cluster_benchmark(
     }
 
 
-def columnar_microbenchmark(
-    *,
-    n: int = 20_000,
-    count: int = 64,
-    passes: int = 5,
-    generator: str = "uniform",
-    seed: int = 42,
-) -> dict:
-    """Drain one list via ``sorted_block``: columnar node vs per-entry.
-
-    Both modes serve the identical op sequence through a fresh
-    :class:`OwnerDaemon`; responses must match bit for bit (the modes
-    differ only in how the block is materialized).  Best-of-``passes``
-    seconds per mode, speedup = entry / columnar.
-    """
-    database = make_generator(generator).generate(n, 1, seed=seed)
-    columnar = ColumnarDatabase.from_database(database)
-    sorted_list = columnar.lists[0]
-    timings: dict[str, float] = {}
-    served: dict[str, list] = {}
-    for mode in ("entry", "columnar"):
-        daemon = OwnerDaemon([sorted_list], list_indices=[0], columnar=mode)
-        best = None
-        for _ in range(max(1, passes)):
-            daemon.handle("reset", {})
-            responses = []
-            remaining = n
-            started = time.perf_counter()
-            while remaining > 0:
-                responses.append(daemon.handle("sorted_block", {"count": count}))
-                remaining -= count
-            seconds = time.perf_counter() - started
-            if best is None or seconds < best:
-                best = seconds
-        timings[mode] = best
-        served[mode] = responses
-    identical = served["entry"] == served["columnar"]
-    if not identical:
-        raise AssertionError(
-            "columnar sorted_block serving diverges from the per-entry "
-            "path — this is a bug"
-        )
-    return {
-        "config": {
-            "n": n,
-            "block": count,
-            "passes": passes,
-            "generator": generator,
-            "seed": seed,
-        },
-        "entry_seconds": timings["entry"],
-        "columnar_seconds": timings["columnar"],
-        "speedup": (
-            timings["entry"] / timings["columnar"]
-            if timings["columnar"] > 0
-            else 0.0
-        ),
-        "responses_identical": True,
-    }
-
-
 def placement_rebalance_benchmark(
     *,
     n: int = 2_000,
@@ -424,7 +361,6 @@ def cluster_speedup_benchmark(
     seed: int = 42,
     repeats: int = 3,
     block_width: int = 8,
-    micro_n: int = 20_000,
 ) -> dict:
     """The full ``reports/cluster_speedup.json`` payload.
 
@@ -449,9 +385,6 @@ def cluster_speedup_benchmark(
         repeats=repeats,
         block_width=block_width,
     )
-    report["columnar_sorted_block"] = columnar_microbenchmark(
-        n=micro_n, seed=seed, generator=generator
-    )
     report["placement_rebalance"] = placement_rebalance_benchmark(
         n=n, m=max(4, m), k=k, generator=generator, seed=seed
     )
@@ -471,7 +404,6 @@ def cluster_speedup_benchmark(
         )
         for label, row in fanout_rows.items()
     }
-    micro = report["columnar_sorted_block"]
     report["summary"] = {
         "m": m,
         "owners_compared": 2,
@@ -481,8 +413,6 @@ def cluster_speedup_benchmark(
         and all(value >= 2.0 for value in frame_reductions.values()),
         "wall_clock_faster": bool(wall_speedups)
         and all(value > 1.0 for value in wall_speedups.values()),
-        "columnar_speedup": micro["speedup"],
-        "columnar_faster": micro["speedup"] > 1.0,
         "rebalance_improves_balance": report["placement_rebalance"][
             "rebalance_improves_balance"
         ],

@@ -27,11 +27,9 @@ Observability (the ``/metrics`` idiom)
     stats``.  Metrics frames are control-plane and never counted in
     wire stats.
 
-Each hosted list is served by a :class:`ColumnarOwnerNode` when the
-source exposes vectorized ``lookup_many``/``block`` (the columnar fast
-path) and a plain :class:`ListOwnerNode` otherwise; ``columnar="entry"``
-forces the per-entry path (the benchmark baseline), ``"columnar"``
-requires the fast path.
+Each hosted list is served by one :class:`ListOwnerNode`, which answers
+batched lookups and sorted blocks straight from columnar arrays when
+the source has them.
 """
 
 from __future__ import annotations
@@ -41,14 +39,8 @@ import time
 from collections import Counter
 from typing import Sequence
 
-from repro.distributed.nodes import (
-    DEFAULT_SESSION,
-    ColumnarOwnerNode,
-    ListOwnerNode,
-)
+from repro.distributed.nodes import DEFAULT_SESSION, ListOwnerNode
 from repro.errors import ProtocolError
-
-COLUMNAR_MODES = ("auto", "entry", "columnar")
 
 #: Default latency reservoir size (adaptive-hashmap-studio's
 #: ``--latency-sample-k`` default neighbourhood).
@@ -122,24 +114,6 @@ class LatencyReservoir:
         }
 
 
-def make_owner_node(sorted_list, *, tracker, include_position, columnar="auto"):
-    """Build the right node class for one hosted list."""
-    if columnar not in COLUMNAR_MODES:
-        raise ValueError(
-            f"unknown columnar mode {columnar!r}; pick from {COLUMNAR_MODES}"
-        )
-    vectorized = hasattr(sorted_list, "lookup_many") and hasattr(
-        sorted_list, "block"
-    )
-    if columnar == "columnar" and not vectorized:
-        raise ValueError(
-            f"columnar owner requested but {type(sorted_list).__name__} "
-            "has no vectorized lookup_many/block"
-        )
-    cls = ColumnarOwnerNode if vectorized and columnar != "entry" else ListOwnerNode
-    return cls(sorted_list, tracker=tracker, include_position=include_position)
-
-
 class OwnerDaemon:
     """One owner process's brain: its hosted lists behind one protocol.
 
@@ -147,7 +121,6 @@ class OwnerDaemon:
         lists: the sorted lists this owner hosts, aligned with
             ``list_indices`` (their global indices in the database).
         tracker / include_position: forwarded to every hosted node.
-        columnar: node selection mode (see :func:`make_owner_node`).
         latency_sample_k: reservoir size for the latency quantiles.
     """
 
@@ -158,17 +131,13 @@ class OwnerDaemon:
         list_indices: Sequence[int],
         tracker: str = "bitarray",
         include_position: bool = False,
-        columnar: str = "auto",
         latency_sample_k: int = DEFAULT_LATENCY_SAMPLE_K,
     ) -> None:
         if len(lists) != len(list_indices) or not lists:
             raise ValueError("lists and list_indices must align and be non-empty")
         self._nodes: dict[int, ListOwnerNode] = {
-            index: make_owner_node(
-                sorted_list,
-                tracker=tracker,
-                include_position=include_position,
-                columnar=columnar,
+            index: ListOwnerNode(
+                sorted_list, tracker=tracker, include_position=include_position
             )
             for index, sorted_list in zip(list_indices, lists)
         }

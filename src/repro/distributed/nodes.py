@@ -40,6 +40,16 @@ session gets its own sorted-access cursor, access tally and best-position
 tracker, so interleaved queries against the same owner do not disturb
 each other (see :class:`_Session`).  Requests without a session id share
 the default session, preserving the single-query API.
+
+One node class serves every source.  Batched lookups answer with one
+NumPy gather when the list has a vectorized ``lookup_many`` (a
+:class:`~repro.columnar.ColumnarList`) and every item is known, and
+with the per-item loop otherwise; sorted blocks come from
+:meth:`ListAccessor.sorted_block_raw`, which slices columnar arrays and
+reads other sources entry by entry.  Responses, tallies, best-position
+walks and piggyback points are identical either way
+(``tests/unit/test_owner_daemon.py`` drives a plain and a columnar
+database through the same op sequences to prove it).
 """
 
 from __future__ import annotations
@@ -86,6 +96,8 @@ class ListOwnerNode:
         include_position: bool = False,
     ) -> None:
         self._list = sorted_list
+        #: the source's vectorized batch lookup, when it has one
+        self._gather = getattr(sorted_list, "lookup_many", None)
         self._tracker_kind = tracker
         self._include_position = include_position
         self._sessions: dict[str, _Session] = {}
@@ -199,15 +211,28 @@ class ListOwnerNode:
         self._piggyback(session, response, old_bp)
         return response
 
-    def _random_lookup_many(self, session: _Session, items: list[int]) -> dict:
-        """Batched random access: one message for a round's lookups.
+    def _lookups(
+        self, session: _Session, items: list[int]
+    ) -> tuple[list[Score], list[Position]]:
+        """Metered random accesses for ``items``, each position marked.
 
-        Applies the exact per-item operations of ``random_lookup`` in
-        order (one metered access and one tracker mark each), but ships
-        a single response; the best-position score is piggybacked once
-        if the whole batch advanced it.
+        The per-item operations of ``random_lookup``, in order: one
+        metered access and one tracker mark each.  A vectorized source
+        answers an all-known batch with one gather instead; any item it
+        cannot serve sends the batch through the per-item loop, which
+        fails at the same item with the same partial tally and marks.
         """
-        old_bp = session.tracker.best_position
+        if items and self._gather is not None:
+            try:
+                scores, positions = self._gather(items)
+            except UnknownItemError:
+                pass
+            else:
+                session.accessor.tally.random += len(items)
+                positions = positions.tolist()
+                for position in positions:
+                    session.tracker.mark(position)
+                return scores.tolist(), positions
         scores: list[Score] = []
         positions: list[Position] = []
         for item in items:
@@ -215,6 +240,18 @@ class ListOwnerNode:
             session.tracker.mark(position)
             scores.append(score)
             positions.append(position)
+        return scores, positions
+
+    def _random_lookup_many(self, session: _Session, items: list[int]) -> dict:
+        """Batched random access: one message for a round's lookups.
+
+        The owner-side operations of ``len(items)`` ``random_lookup``
+        requests (see :meth:`_lookups`), but a single response; the
+        best-position score is piggybacked once if the whole batch
+        advanced it.
+        """
+        old_bp = session.tracker.best_position
+        scores, positions = self._lookups(session, items)
         response: dict = {"scores": scores}
         if self._include_position:
             response["positions"] = positions
@@ -229,15 +266,12 @@ class ListOwnerNode:
         message count changes.  The block is clipped at the list end.
         """
         old_bp = session.tracker.best_position
-        entries = session.accessor.sorted_block(count)
-        for entry in entries:
-            session.tracker.mark(entry.position)
-        response: dict = {
-            "items": [entry.item for entry in entries],
-            "scores": [entry.score for entry in entries],
-        }
+        positions, items, scores = session.accessor.sorted_block_raw(count)
+        for position in positions:
+            session.tracker.mark(position)
+        response: dict = {"items": items, "scores": scores}
         if self._include_position:
-            response["positions"] = [entry.position for entry in entries]
+            response["positions"] = positions
         self._piggyback(session, response, old_bp)
         return response
 
@@ -250,11 +284,7 @@ class ListOwnerNode:
         this list without an extra probe message.
         """
         old_bp = session.tracker.best_position
-        scores: list[Score] = []
-        for item in items:
-            score, position = session.accessor.random_lookup(item)
-            session.tracker.mark(position)
-            scores.append(score)
+        scores, _positions = self._lookups(session, items)
         entries: list[tuple[int, Score]] = []
         for _ in range(count):
             position = session.tracker.best_position + 1
@@ -302,11 +332,7 @@ class ListOwnerNode:
         ``direct_next`` — only the message count changes.
         """
         old_bp = session.tracker.best_position
-        scores: list[Score] = []
-        for item in items:
-            score, position = session.accessor.random_lookup(item)
-            session.tracker.mark(position)
-            scores.append(score)
+        scores, _positions = self._lookups(session, items)
         response: dict = {"scores": scores}
         position = session.tracker.best_position + 1
         if position > len(session.accessor):
@@ -347,117 +373,3 @@ class ListOwnerNode:
         new_bp = session.tracker.best_position
         if new_bp != old_bp:
             response["bp_score"] = self._list.score_at(new_bp)
-
-
-class ColumnarOwnerNode(ListOwnerNode):
-    """A list owner serving batched ops straight from columnar arrays.
-
-    Drop-in for :class:`ListOwnerNode` over a source with vectorized
-    ``lookup_many``/``block`` (a :class:`~repro.columnar.ColumnarList`):
-    ``sorted_block`` responses come from array slices via one
-    ``tolist`` instead of per-entry :class:`ListEntry` boxing, and the
-    lookup halves of ``random_lookup_many``/``direct_step``/
-    ``direct_block`` become one NumPy gather each.  Responses, tallies,
-    tracker walks and piggyback points are bit-identical to the
-    per-entry path — ``tests/unit/test_owner_daemon.py`` drives both
-    node classes through identical op sequences to prove it.  A batch
-    containing an unknown item replays through the scalar handler so
-    the partial tally and marks fail at the same point.
-    """
-
-    def __init__(
-        self,
-        sorted_list: SortedListLike,
-        *,
-        tracker: str = "bitarray",
-        include_position: bool = False,
-    ) -> None:
-        for attr in ("lookup_many", "block"):
-            if not hasattr(sorted_list, attr):
-                raise TypeError(
-                    f"{type(sorted_list).__name__} has no vectorized "
-                    f"{attr!r}; use ListOwnerNode for per-entry sources"
-                )
-        super().__init__(
-            sorted_list, tracker=tracker, include_position=include_position
-        )
-
-    def _gather(self, session: _Session, items: list[int]):
-        """One vectorized lookup batch, metered like the scalar loop.
-
-        Returns ``(scores, positions)`` as plain lists and marks every
-        position, or ``None`` if any item is unknown (the caller then
-        replays through the scalar handler for exact partial metering).
-        """
-        try:
-            scores, positions = self._list.lookup_many(items)
-        except UnknownItemError:
-            return None
-        session.accessor.tally.random += len(items)
-        scores = scores.tolist()
-        positions = positions.tolist()
-        for position in positions:
-            session.tracker.mark(position)
-        return scores, positions
-
-    def _random_lookup_many(self, session: _Session, items: list[int]) -> dict:
-        old_bp = session.tracker.best_position
-        gathered = self._gather(session, items)
-        if gathered is None:
-            return super()._random_lookup_many(session, items)
-        scores, positions = gathered
-        response: dict = {"scores": scores}
-        if self._include_position:
-            response["positions"] = positions
-        self._piggyback(session, response, old_bp)
-        return response
-
-    def _sorted_block(self, session: _Session, count: int) -> dict:
-        old_bp = session.tracker.best_position
-        positions, items, scores = session.accessor.sorted_block_raw(count)
-        for position in positions:
-            session.tracker.mark(position)
-        response: dict = {"items": items, "scores": scores}
-        if self._include_position:
-            response["positions"] = positions
-        self._piggyback(session, response, old_bp)
-        return response
-
-    def _direct_step(self, session: _Session, items: list[int]) -> dict:
-        old_bp = session.tracker.best_position
-        gathered = self._gather(session, items) if items else ([], [])
-        if gathered is None:
-            return super()._direct_step(session, items)
-        response: dict = {"scores": gathered[0]}
-        position = session.tracker.best_position + 1
-        if position > len(session.accessor):
-            response["exhausted"] = True
-        else:
-            entry = session.accessor.direct_at(position)
-            session.tracker.mark(entry.position)
-            response["item"] = entry.item
-            response["score"] = entry.score
-        self._piggyback(session, response, old_bp)
-        return response
-
-    def _direct_block(self, session: _Session, items: list[int], count: int) -> dict:
-        old_bp = session.tracker.best_position
-        gathered = self._gather(session, items) if items else ([], [])
-        if gathered is None:
-            return super()._direct_block(session, items, count)
-        entries: list[tuple[int, Score]] = []
-        for _ in range(count):
-            position = session.tracker.best_position + 1
-            if position > len(session.accessor):
-                break
-            entry = session.accessor.direct_at(position)
-            session.tracker.mark(entry.position)
-            entries.append((entry.item, entry.score))
-        response: dict = {
-            "scores": gathered[0],
-            "entries": entries,
-            "exhausted": session.tracker.best_position
-            >= len(session.accessor),
-        }
-        self._piggyback(session, response, old_bp)
-        return response

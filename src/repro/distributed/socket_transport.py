@@ -171,7 +171,6 @@ def _build_daemon(spec: dict) -> OwnerDaemon:
         list_indices=indices,
         tracker=spec["tracker"],
         include_position=spec["include_position"],
-        columnar=spec["columnar"],
         latency_sample_k=spec["latency_sample_k"],
     )
 
@@ -257,9 +256,6 @@ class SocketCluster:
             prebuilt :class:`ClusterPlacement`.
         tracker: best-position structure kind at the owners.
         include_position: ship positions in lookup responses (BPA).
-        columnar: owner node selection — ``"auto"`` serves vectorized
-            sources through the columnar fast path, ``"entry"`` forces
-            the per-entry reference path.
         latency_sample_k: size of each daemon's latency reservoir.
         start_method: multiprocessing start method; ``None`` keeps the
             platform default (``fork`` is unsafe with threads or under
@@ -278,7 +274,6 @@ class SocketCluster:
         placement: str | ClusterPlacement = "contiguous",
         tracker: str = "bitarray",
         include_position: bool = False,
-        columnar: str = "auto",
         latency_sample_k: int = DEFAULT_LATENCY_SAMPLE_K,
         start_method: str | None = None,
     ) -> None:
@@ -294,7 +289,6 @@ class SocketCluster:
                 group,
                 tracker=tracker,
                 include_position=include_position,
-                columnar=columnar,
                 latency_sample_k=latency_sample_k,
                 lists=[database.lists[index] for index in group],
             )
@@ -311,7 +305,6 @@ class SocketCluster:
         placement: str | ClusterPlacement = "contiguous",
         tracker: str = "bitarray",
         include_position: bool = False,
-        columnar: str = "auto",
         latency_sample_k: int = DEFAULT_LATENCY_SAMPLE_K,
         start_method: str | None = None,
     ) -> "SocketCluster":
@@ -340,7 +333,6 @@ class SocketCluster:
                 group,
                 tracker=tracker,
                 include_position=include_position,
-                columnar=columnar,
                 latency_sample_k=latency_sample_k,
                 snapshot=str(path),
             )
@@ -376,12 +368,11 @@ class SocketCluster:
         self._processes: list = []
 
     @staticmethod
-    def _spec(group, *, tracker, include_position, columnar, latency_sample_k, **source):
+    def _spec(group, *, tracker, include_position, latency_sample_k, **source):
         return {
             "indices": list(group),
             "tracker": tracker,
             "include_position": include_position,
-            "columnar": columnar,
             "latency_sample_k": latency_sample_k,
             **source,
         }

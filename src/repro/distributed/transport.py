@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from repro.columnar import ColumnarDatabase
 from repro.distributed.daemon import OwnerDaemon
 from repro.distributed.network import NetworkStats, SimulatedNetwork
 from repro.distributed.nodes import ListOwnerNode
@@ -102,9 +101,6 @@ class NetworkBackend(ExecutionBackend):
             requests to multi-list owners carry a ``"list"`` routing
             field, and batch/pipelined round waves coalesce into one
             frame per owner (see :meth:`execute_plan`).
-        columnar: owner node selection with a placement — ``"auto"``
-            (vectorized when the source supports it), ``"entry"`` or
-            ``"columnar"``.
     """
 
     def __init__(
@@ -116,7 +112,6 @@ class NetworkBackend(ExecutionBackend):
         protocol: str = "entry",
         network: SimulatedNetwork | None = None,
         placement: ClusterPlacement | None = None,
-        columnar: str = "auto",
     ) -> None:
         self._init_common(
             m=database.m,
@@ -146,7 +141,6 @@ class NetworkBackend(ExecutionBackend):
                 list_indices=group,
                 tracker=tracker,
                 include_position=include_position,
-                columnar=columnar,
             )
             self.network.register(f"owner/{owner}", daemon)
             self.daemons.append(daemon)
@@ -232,13 +226,6 @@ class NetworkBackend(ExecutionBackend):
             payload = dict(payload or {})
             payload["list"] = i
         return payload
-
-    @classmethod
-    def for_columnar(cls, database, **kwargs) -> "NetworkBackend":
-        """Owners over columnar lists (converting if necessary)."""
-        if not isinstance(database, ColumnarDatabase):
-            database = ColumnarDatabase.from_database(database)
-        return cls(database, **kwargs)
 
     # ------------------------------------------------------------------
     # ExecutionBackend primitives

@@ -4,12 +4,16 @@ The paper motivates BPA/BPA2 for middleware and distributed settings;
 this package is the repo's single implementation of their coordinator
 logic, reused by every stack that executes queries:
 
-* :class:`ExecutionBackend` — the source protocol (sorted / random /
-  best-position primitives, round-structured so transports can batch);
-* :class:`LocalColumnarBackend` — the protocol over flat columnar
-  arrays (single-node, kernel-path speed);
+* :func:`execute_query` — the single-node path: one query on one
+  database through the exact vectorized kernel when one exists, the
+  reference algorithm otherwise (the per-shard / per-thread work unit
+  of the service and the batch runner);
+* :class:`ExecutionBackend` — the source protocol the round planners
+  drive (sorted / random / best-position primitives, round-structured
+  so transports can batch); :class:`repro.distributed.NetworkBackend`
+  implements it over list owners;
 * :mod:`repro.exec.plan` — declarative :class:`RoundPlan` ops and the
-  engine (:func:`drive`) that executes planners against any backend;
+  engine (:func:`drive`) that executes planners against a backend;
 * :mod:`repro.exec.drivers` — TA/BPA/BPA2 round planners, classic
   (:func:`run_ta`, :func:`run_bpa`, :func:`run_bpa2`) and block
   (:func:`run_ta_block`, :func:`run_bpa_block`, :func:`run_bpa2_block`);
@@ -19,18 +23,17 @@ logic, reused by every stack that executes queries:
   classify a mutation delta against a certified answer as unchanged /
   patchable / recompute (shared by the delta-aware result cache and
   standing :mod:`repro.watch` subscriptions);
-* :func:`execute_query` — kernel-or-reference execution of one query on
-  one database (the per-shard / per-thread work unit);
-* :mod:`repro.exec.keys` — canonical query/scoring identities shared by
-  the result cache, the planner and the context caches.
+* :mod:`repro.exec.keys` — :class:`QuerySpec` and the canonical
+  query/scoring identities shared by the result cache, the planner and
+  the context caches.
 
-``repro.service`` runs the core over local shard pools;
-``repro.distributed`` runs it over the simulated network.  The
+``repro.service`` runs kernels over local shard pools;
+``repro.distributed`` runs the planners over the network.  The
 differential suites prove both produce results bit-identical to the
 reference single-node algorithms.
 """
 
-from repro.exec.backend import DirectStep, ExecutionBackend, LocalColumnarBackend
+from repro.exec.backend import DirectStep, ExecutionBackend
 from repro.exec.drivers import (
     DRIVERS,
     DriverOutcome,
@@ -41,7 +44,12 @@ from repro.exec.drivers import (
     run_ta,
     run_ta_block,
 )
-from repro.exec.keys import freeze_value, normalized_query_key, scoring_key
+from repro.exec.keys import (
+    QuerySpec,
+    freeze_value,
+    normalized_query_key,
+    scoring_key,
+)
 from repro.exec.merge import entry_key, merge_shard_results
 from repro.exec.plan import (
     BlockRound,
@@ -58,7 +66,6 @@ from repro.exec.run import execute_query
 
 __all__ = [
     "ExecutionBackend",
-    "LocalColumnarBackend",
     "DirectStep",
     "DriverOutcome",
     "DRIVERS",
@@ -80,6 +87,7 @@ __all__ = [
     "entry_key",
     "merge_shard_results",
     "execute_query",
+    "QuerySpec",
     "scoring_key",
     "freeze_value",
     "normalized_query_key",

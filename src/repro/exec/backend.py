@@ -1,14 +1,14 @@
-"""The execution-backend protocol and its local columnar implementation.
+"""The execution-backend protocol the round planners drive.
 
 A backend owns the *sources* of one query — the ``m`` sorted lists —
 and serves the three access primitives of the TA/BPA family plus BPA2's
 best-position bookkeeping.  The drivers in :mod:`repro.exec.drivers`
-are written purely against this protocol, so the same driver code runs
-
-* single-node over flat columnar arrays (:class:`LocalColumnarBackend`),
-* over the simulated network
-  (:class:`repro.distributed.transport.NetworkBackend`), where each
-  primitive becomes one or more request/response messages.
+are written purely against this protocol; its implementation is
+:class:`repro.distributed.transport.NetworkBackend`, where each
+primitive becomes one or more request/response messages to the list
+owners (in-process over the simulated network, or over sockets).
+Single-node queries do not come through here: they run the vectorized
+kernels via :func:`repro.exec.run.execute_query`.
 
 The protocol is round-structured to match the paper's algorithms: a
 driver announces each parallel round (:meth:`ExecutionBackend.begin_round`)
@@ -25,7 +25,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.columnar import ColumnarDatabase
 from repro.exec.plan import (
     DirectBlock,
     DirectResult,
@@ -39,7 +38,6 @@ from repro.exec.plan import (
 )
 from repro.types import AccessTally, ItemId, Position, Score
 
-_INF = float("inf")
 
 #: ``direct_step`` result: lookup scores for the bundled items, then the
 #: direct-access entry — ``None`` when the source is exhausted.
@@ -180,141 +178,3 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def total_tally(self) -> AccessTally:
         """Accesses performed so far, summed over the lists."""
-
-
-class LocalColumnarBackend(ExecutionBackend):
-    """Single-node backend over flat columnar arrays.
-
-    The same precomputed layout the vectorized kernels use (rows by
-    position, positions by row, plain-list score columns) serves the
-    driver primitives directly — no accessor objects, no per-entry
-    dataclasses — so the unified drivers run at kernel-path speed while
-    producing reference-identical results and tallies
-    (``tests/differential/test_distributed_unified.py``).
-
-    Layout memoization tracks the snapshot, not the service: each
-    ``ColumnarDatabase`` — including the epoch-versioned successors
-    produced by :func:`repro.columnar.patch_database` — owns its own
-    cached :class:`~repro.columnar.database.DatabaseLayout`, so a
-    backend constructed over a freshly patched snapshot never reads a
-    predecessor epoch's coordinates.  When a patch leaves membership
-    unchanged, the successor arrives with its layout already derived
-    (only the touched lists' sections re-computed); otherwise
-    ``database.layout()`` derives it lazily here, exactly as for a
-    cold-built snapshot.
-    """
-
-    def __init__(self, database, *, include_position: bool = False) -> None:
-        if not isinstance(database, ColumnarDatabase):
-            database = ColumnarDatabase.from_database(database)
-        self.database = database
-        self.m = database.m
-        self.n = database.n
-        self.include_position = include_position
-        n = self.n
-        # The same cached scalar layout the kernels' QueryContext reads
-        # (one derivation per database; every field is read-only).
-        layout = database.layout()
-        self._rows_at = layout.rows_at
-        self._pos_of = layout.pos_of
-        self._score_at = layout.score_at
-        self._ids = layout.ids
-        self._row_of = layout.row_of
-        # Per-list query state: sorted cursor, seen positions (1-based
-        # with a sentinel so the best-position advance cannot overrun),
-        # best position, and the per-mode access counts.
-        self._cursor = [0] * self.m
-        self._seen = [bytearray(n + 2) for _ in range(self.m)]
-        self._bp = [0] * self.m
-        self._sorted = [0] * self.m
-        self._random = [0] * self.m
-        self._direct = [0] * self.m
-
-    def _mark(self, i: int, position: Position) -> None:
-        seen = self._seen[i]
-        if seen[position]:
-            return
-        seen[position] = 1
-        b = self._bp[i]
-        if position == b + 1:
-            b += 1
-            while seen[b + 1]:
-                b += 1
-            self._bp[i] = b
-
-    def sorted_next(self, i: int) -> tuple[ItemId, Score, Position]:
-        position = self._cursor[i] + 1
-        self._cursor[i] = position
-        self._sorted[i] += 1
-        self._mark(i, position)
-        row = self._rows_at[i][position - 1]
-        return self._ids[row], self._score_at[i][position - 1], position
-
-    def random_lookup_many(self, i, items):
-        self._random[i] += len(items)
-        pos_of, score_at = self._pos_of[i], self._score_at[i]
-        results: list[tuple[Score, Position]] = []
-        for item in items:
-            position = pos_of[self._row_of[item]] + 1
-            self._mark(i, position)
-            results.append((score_at[position - 1], position))
-        return results
-
-    def direct_step(self, i, items) -> DirectStep:
-        lookups = [score for score, _pos in self.random_lookup_many(i, items)]
-        position = self._bp[i] + 1
-        if position > self.n:
-            return lookups, None
-        self._direct[i] += 1
-        self._mark(i, position)
-        row = self._rows_at[i][position - 1]
-        return lookups, (self._ids[row], self._score_at[i][position - 1])
-
-    def sorted_block(self, i, count):
-        # One slice per column instead of ``count`` scalar reads; the
-        # seen-position marks stay per entry (they drive best positions).
-        start = self._cursor[i]
-        stop = min(start + count, self.n)
-        rows = self._rows_at[i][start:stop]
-        scores = self._score_at[i][start:stop]
-        ids = self._ids
-        self._cursor[i] = stop
-        self._sorted[i] += stop - start
-        entries = []
-        for offset, (row, score) in enumerate(zip(rows, scores)):
-            position = start + offset + 1
-            self._mark(i, position)
-            entries.append((ids[row], score, position))
-        return entries
-
-    def direct_block(self, i, items, count):
-        lookups = tuple(
-            score for score, _pos in self.random_lookup_many(i, items)
-        )
-        rows_at, score_at, ids = self._rows_at[i], self._score_at[i], self._ids
-        entries: list[tuple[ItemId, Score]] = []
-        for _ in range(count):
-            position = self._bp[i] + 1
-            if position > self.n:
-                break
-            self._direct[i] += 1
-            self._mark(i, position)
-            row = rows_at[position - 1]
-            entries.append((ids[row], score_at[position - 1]))
-        return DirectResult(lookups, tuple(entries), self._bp[i] >= self.n)
-
-    def best_position_scores(self) -> list[Score]:
-        return [
-            _INF if self._bp[i] == 0 else self._score_at[i][self._bp[i] - 1]
-            for i in range(self.m)
-        ]
-
-    def best_positions(self) -> list[Position]:
-        return list(self._bp)
-
-    def total_tally(self) -> AccessTally:
-        return AccessTally(
-            sorted=sum(self._sorted),
-            random=sum(self._random),
-            direct=sum(self._direct),
-        )

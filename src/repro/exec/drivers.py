@@ -5,8 +5,8 @@ logic (bookkeeping, stopping rules) and emits declarative
 :class:`repro.exec.plan.RoundPlan`s; the shared engine
 (:func:`repro.exec.plan.drive`) executes those plans against any
 :class:`repro.exec.backend.ExecutionBackend`.  The same planner runs
-vectorized over columnar arrays, as coalesced messages over the
-simulated network, and as length-prefixed frames over TCP sockets;
+as per-entry or coalesced messages over the simulated network and as
+length-prefixed frames over TCP sockets;
 ``tests/differential/`` proves every combination bit-identical —
 ranked answers *and* per-mode access tallies — to the reference
 single-node algorithms.

@@ -1,18 +1,37 @@
-"""Canonical hashable identities for queries and scoring functions.
+"""Queries and their canonical hashable identities.
 
-Both the service cache and the execution core need to answer "would the
-engine do identical work for these two queries?" — same algorithm, same
-(over)fetched ``k``, same scoring semantics, same algorithm options.
-These helpers canonicalize those dimensions; they live in the execution
-core (below :mod:`repro.service`) so shard workers, context caches and
-the result cache all share one notion of query identity.
+:class:`QuerySpec` is the one query description every layer passes
+around: the batch runner, the service and its planner, workloads and
+the standing-query server.  Both the service cache and the execution
+core need to answer "would the engine do identical work for these two
+queries?" — same algorithm, same (over)fetched ``k``, same scoring
+semantics, same algorithm options.  The helpers below canonicalize
+those dimensions; they live in the execution core (below
+:mod:`repro.service`) so shard workers, context caches and the result
+cache all share one notion of query identity.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping, Set
 
-from repro.scoring import ScoringFunction
+from repro.scoring import SUM, ScoringFunction
+
+
+@dataclass(frozen=True)
+class QuerySpec:
+    """One query: algorithm (by registry name), k, scoring.
+
+    ``options`` are keyword arguments for the algorithm's constructor
+    (e.g. ``{"memoize": True}``); non-default options usually disable
+    the vectorized kernel and fall back to the generic path.
+    """
+
+    algorithm: str = "bpa2"
+    k: int = 10
+    scoring: ScoringFunction = SUM
+    options: Mapping[str, object] = field(default_factory=dict)
 
 
 def scoring_key(scoring: ScoringFunction) -> tuple:

@@ -43,10 +43,9 @@ import numpy as np
 
 from repro.algorithms.base import get_algorithm
 from repro.analysis.model import expected_best_position_advance
-from repro.bench.batch import QuerySpec
 from repro.columnar import ColumnarDatabase
 from repro.errors import InvalidQueryError
-from repro.exec.keys import freeze_value, scoring_key
+from repro.exec.keys import QuerySpec, freeze_value, scoring_key
 from repro.scoring import SUM, ScoringFunction
 from repro.service.sharding import available_cpus
 from repro.types import AccessTally, CostModel

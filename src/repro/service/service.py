@@ -35,9 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.bench.batch import QuerySpec
 from repro.columnar import ColumnarDatabase, patch_database
 from repro.dynamic import DynamicDatabase, MutationLog
+from repro.exec.keys import QuerySpec
 from repro.lists.database import Database
 from repro.lists.sorted_list import SortedList
 from repro.service.cache import ResultCache, normalized_query_key

@@ -40,9 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.naive import brute_force_topk
-from repro.bench.batch import QuerySpec
 from repro.datagen.base import make_generator
 from repro.dynamic import DynamicDatabase, DynamicSortedList
+from repro.exec.keys import QuerySpec
 from repro.reverse import brute_force_reverse_topk
 from repro.service.cache import CACHE_OUTCOMES, scoring_key
 from repro.service.planner import ServicePolicy

@@ -37,9 +37,9 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.bench.batch import QuerySpec
 from repro.distributed.socket_transport import recv_frame, send_frame
 from repro.errors import ProtocolError, ReproError
+from repro.exec.keys import QuerySpec
 from repro.scoring import AVERAGE, MAX, MIN, SUM
 
 #: Scoring functions addressable from the wire, by name.

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.batch import QuerySpec
 from repro.columnar import ColumnarDatabase
 from repro.datagen import make_generator
 from repro.distributed.algorithms import (
@@ -32,6 +31,7 @@ from repro.distributed.algorithms import (
     DistributedBPA2,
     DistributedTA,
 )
+from repro.exec import QuerySpec
 from repro.scoring import SUM
 from repro.service import QueryService, ServicePolicy
 from repro.service.feedback import WIDTH_LATTICE

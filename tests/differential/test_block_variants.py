@@ -6,12 +6,13 @@ Two claims, both bit-level:
   the identical ranked top-k (items *and* scores) as the classic
   algorithms, for every block width — block rounds only coarsen *when*
   the stop test runs, never what is returned.
-* **Engine equivalence.**  The round-plan engine driving any transport
-  (local columnar backend; simulated network under the entry, batch and
-  pipelined wire protocols) reproduces the registered reference block
-  algorithms bit for bit: identical items, per-mode access tallies and
-  round counts.  Hypothesis drives databases from every shipped
-  distribution family plus arbitrary tie-heavy matrices.
+* **Engine equivalence.**  The round-plan engine driving the simulated
+  network under the entry, batch and pipelined wire protocols, with
+  owners over columnar and over plain per-entry lists, reproduces the
+  registered reference block algorithms bit for bit: identical items,
+  per-mode access tallies and round counts.  Hypothesis drives
+  databases from every shipped distribution family plus arbitrary
+  tie-heavy matrices.
 """
 
 from __future__ import annotations
@@ -36,16 +37,20 @@ BLOCK_DRIVERS = (
     ("bpa2", DistributedBPA2),
 )
 
+#: (owner source, driver options), as in test_distributed_unified.
 TRANSPORTS = (
-    {"transport": "local"},
-    {"protocol": "entry"},
-    {"protocol": "batch"},
-    {"protocol": "pipelined"},
+    ("columnar", {"protocol": "entry"}),
+    ("columnar", {"protocol": "batch"}),
+    ("columnar", {"protocol": "pipelined"}),
+    ("plain", {"protocol": "pipelined"}),
 )
 
 
 def _assert_block_matches_reference(database, k, width) -> None:
-    columnar = ColumnarDatabase.from_database(database)
+    sources = {
+        "plain": database,
+        "columnar": ColumnarDatabase.from_database(database),
+    }
     for name, cls in BLOCK_DRIVERS:
         classic = get_algorithm(name).run(database, k, SUM)
         if width == 1:
@@ -64,9 +69,11 @@ def _assert_block_matches_reference(database, k, width) -> None:
             database, k, SUM
         )
         assert memoized.items == classic.items, (name, width)
-        for kwargs in TRANSPORTS:
-            result = cls(block_width=width, **kwargs).run(columnar, k, SUM)
-            label = f"{name}-block w={width} {kwargs}"
+        for source, kwargs in TRANSPORTS:
+            result = cls(block_width=width, **kwargs).run(
+                sources[source], k, SUM
+            )
+            label = f"{name}-block w={width} {source} {kwargs}"
             assert result.items == reference.items, label
             assert result.tally == reference.tally, label
             assert result.rounds == reference.rounds, label

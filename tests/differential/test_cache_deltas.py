@@ -31,8 +31,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.bench.batch import QuerySpec
 from repro.datagen.base import make_generator
+from repro.exec import QuerySpec
 from repro.scoring import MIN, SUM
 from repro.service import QueryService, ServicePolicy
 from repro.service.workload import answers_match, dynamic_from, fresh_topk

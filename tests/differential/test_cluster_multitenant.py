@@ -85,22 +85,25 @@ class TestSimulatedMultiTenantExactness:
         assert result.tally == reference.tally
 
     @pytest.mark.parametrize("name,cls", DRIVER_CLASSES)
-    def test_entry_owner_node_matches_columnar(self, database, name, cls):
-        # The per-entry serving path and the vectorized columnar path
-        # must be indistinguishable from the wire out.
+    @pytest.mark.parametrize("owners", [None, 2])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_plain_and_columnar_owners_are_wire_identical(
+        self, database, name, cls, owners, width
+    ):
+        # Owners over per-entry SortedLists and over columnar lists
+        # (NumPy gathers, array-sliced blocks) must be indistinguishable
+        # from the wire out.
         columnar = ColumnarDatabase.from_database(database)
-        runs = {
-            mode: cls(protocol="batch", owners=2, columnar=mode).run(
-                columnar, 5, SUM
+        plain, fast = (
+            cls(protocol="batch", owners=owners, block_width=width).run(
+                source, 5, SUM
             )
-            for mode in ("entry", "columnar")
-        }
-        assert runs["entry"].items == runs["columnar"].items
-        assert runs["entry"].tally == runs["columnar"].tally
-        assert (
-            runs["entry"].extras["network"]
-            == runs["columnar"].extras["network"]
+            for source in (database, columnar)
         )
+        assert plain.items == fast.items
+        assert plain.tally == fast.tally
+        assert plain.rounds == fast.rounds
+        assert plain.extras["network"] == fast.extras["network"]
 
 
 class TestFrameCoalescing:

@@ -1,9 +1,9 @@
 """Differential proof that the unified execution core is exact.
 
 The distributed drivers are thin wrappers over one shared driver per
-algorithm (:mod:`repro.exec.drivers`); here each driver runs over every
-transport — the local columnar backend, and the simulated network under
-both wire protocols, with owners serving columnar lists — and must
+algorithm (:mod:`repro.exec.drivers`); here each driver runs over the
+simulated network under every wire protocol, with owners serving
+columnar lists (NumPy gathers) and plain per-entry lists, and must
 reproduce the reference single-node algorithm *bit for bit*: identical
 ranked items and scores, identical per-mode access tallies, identical
 rounds.  Hypothesis drives databases from every shipped distribution
@@ -32,20 +32,26 @@ DRIVERS = (
     ("bpa2", DistributedBPA2),
 )
 
+#: (owner source, driver options): columnar owners answer batches with
+#: NumPy gathers, plain owners look every item up on its own.
 TRANSPORTS = (
-    {"transport": "local"},
-    {"protocol": "entry"},
-    {"protocol": "batch"},
+    ("columnar", {"protocol": "entry"}),
+    ("columnar", {"protocol": "batch"}),
+    ("columnar", {"protocol": "pipelined"}),
+    ("plain", {"protocol": "batch"}),
 )
 
 
 def _assert_unified_matches_reference(database, k) -> None:
-    columnar = ColumnarDatabase.from_database(database)
+    sources = {
+        "plain": database,
+        "columnar": ColumnarDatabase.from_database(database),
+    }
     for name, cls in DRIVERS:
         reference = get_algorithm(name).run(database, k, SUM)
-        for kwargs in TRANSPORTS:
-            result = cls(**kwargs).run(columnar, k, SUM)
-            label = f"{name} {kwargs}"
+        for source, kwargs in TRANSPORTS:
+            result = cls(**kwargs).run(sources[source], k, SUM)
+            label = f"{name} {source} {kwargs}"
             assert result.items == reference.items, label
             assert result.tally == reference.tally, label
             assert result.rounds == reference.rounds, label
@@ -116,17 +122,10 @@ class TestWireProtocolEquivalence:
         )
 
 
-class TestLocalBackendSpeedPath:
-    """The local transport accepts both database backends."""
+class TestTransportChoice:
+    """Planners run over owners only; single-node means kernels."""
 
-    def test_plain_database_is_converted(self):
-        database = make_generator("gaussian").generate(50, 3, seed=5)
-        reference = get_algorithm("bpa2").run(database, 5, SUM)
-        result = DistributedBPA2(transport="local").run(database, 5, SUM)
-        assert result.items == reference.items
-        assert result.tally == reference.tally
-        assert "network" not in result.extras
-
-    def test_unknown_transport_rejected(self):
+    @pytest.mark.parametrize("transport", ["carrier-pigeon", "local"])
+    def test_unknown_transport_rejected(self, transport):
         with pytest.raises(ValueError, match="unknown transport"):
-            DistributedTA(transport="carrier-pigeon")
+            DistributedTA(transport=transport)

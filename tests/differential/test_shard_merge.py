@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import get_algorithm
-from repro.bench.batch import QuerySpec
 from repro.columnar import ColumnarDatabase
 from repro.datagen import make_generator
+from repro.exec import QuerySpec
 from repro.lists.database import Database
 from repro.service import QueryService, partition_database
 from repro.service.sharding import MERGE_EXACT_ALGORITHMS

@@ -15,8 +15,8 @@ import asyncio
 
 import pytest
 
-from repro.bench.batch import QuerySpec
 from repro.datagen.base import make_generator
+from repro.exec import QuerySpec
 from repro.service import QueryService, ServicePolicy
 
 

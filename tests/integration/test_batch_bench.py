@@ -6,15 +6,11 @@ import json
 
 import pytest
 
-from repro.bench.batch import (
-    BatchRunner,
-    QuerySpec,
-    compare_backends,
-    default_query_batch,
-)
+from repro.bench.batch import BatchRunner, compare_backends, default_query_batch
 from repro.columnar import ColumnarDatabase
 from repro.datagen import UniformGenerator
-from repro.scoring import MIN, SUM
+from repro.exec import QuerySpec
+from repro.scoring import MIN, SUM, WeightedSumScoring
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +61,36 @@ class TestBatchRunner:
         for spec, result in zip(batch, report.results):
             reference = get_algorithm("bpa2").run(database, spec.k, spec.scoring)
             assert result == reference
+
+    def test_equal_scorings_share_one_context(self, monkeypatch):
+        # WeightedSumScoring has no __eq__, so contexts keyed by the
+        # object would cost one O(n) build per instance; keyed by scoring
+        # semantics, equal weights share one build and the answers hold.
+        import repro.exec.run as exec_run
+        from repro.algorithms.base import get_algorithm
+
+        database = UniformGenerator().generate(500, 3, seed=3)
+        builds = []
+        context_class = exec_run.QueryContext
+
+        def counting_context(*args):
+            builds.append(1)
+            return context_class(*args)
+
+        monkeypatch.setattr(exec_run, "QueryContext", counting_context)
+        batch = [
+            QuerySpec(name, k=5, scoring=WeightedSumScoring([1.0, 2.0, 0.5]))
+            for name in ("bpa2", "ta", "bpa", "bpa2")
+        ]
+        report = BatchRunner(database, backend="columnar").run(batch)
+        assert len(builds) == 1
+        assert report.kernel_queries == 4
+        for spec, result in zip(batch, report.results):
+            reference = get_algorithm(spec.algorithm).run(
+                database, spec.k, spec.scoring
+            )
+            assert result == reference
+            assert result.extras == reference.extras
 
     def test_accepts_either_database_type(self, database):
         columnar = ColumnarDatabase.from_database(database)

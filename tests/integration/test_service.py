@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import get_algorithm
-from repro.bench.batch import QuerySpec
 from repro.datagen import UniformGenerator
 from repro.dynamic import DynamicDatabase
 from repro.errors import InvalidQueryError
+from repro.exec import QuerySpec
 from repro.scoring import MIN, SUM
 from repro.service import QueryService, ServicePolicy
 from repro.service.workload import WorkloadConfig, build_workload, run_workload

@@ -14,9 +14,9 @@ import asyncio
 
 import pytest
 
-from repro.bench.batch import QuerySpec
 from repro.datagen import UniformGenerator
 from repro.dynamic import DynamicDatabase
+from repro.exec import QuerySpec
 from repro.scoring import MIN, SUM
 from repro.service import QueryService, ServicePolicy, normalized_query_key
 from repro.service.workload import (

@@ -10,21 +10,24 @@ from repro.distributed.daemon import (
     DEFAULT_LATENCY_SAMPLE_K,
     LatencyReservoir,
     OwnerDaemon,
-    make_owner_node,
 )
-from repro.distributed.nodes import ColumnarOwnerNode, ListOwnerNode
-from repro.errors import ProtocolError
+from repro.distributed.nodes import ListOwnerNode
+from repro.errors import ProtocolError, UnknownItemError
 
 
 @pytest.fixture(scope="module")
-def columnar():
-    database = make_generator("zipf").generate(40, 3, seed=5)
-    return ColumnarDatabase.from_database(database)
+def plain():
+    return make_generator("zipf").generate(40, 3, seed=5)
 
 
-def _daemon(columnar, indices=(0, 1), **kwargs):
+@pytest.fixture(scope="module")
+def columnar(plain):
+    return ColumnarDatabase.from_database(plain)
+
+
+def _daemon(database, indices=(0, 1), **kwargs):
     return OwnerDaemon(
-        [columnar.lists[i] for i in indices], list_indices=list(indices),
+        [database.lists[i] for i in indices], list_indices=list(indices),
         **kwargs,
     )
 
@@ -150,92 +153,62 @@ class TestLatencyReservoir:
             LatencyReservoir(0)
 
 
-class TestNodeSelection:
-    def test_auto_picks_columnar_for_vectorized_lists(self, columnar):
-        node = make_owner_node(
-            columnar.lists[0], tracker="bitarray", include_position=False
-        )
-        assert isinstance(node, ColumnarOwnerNode)
-
-    def test_entry_mode_forces_reference_path(self, columnar):
-        node = make_owner_node(
-            columnar.lists[0],
-            tracker="bitarray",
-            include_position=False,
-            columnar="entry",
-        )
-        assert type(node) is ListOwnerNode
-
-    def test_columnar_mode_rejects_scalar_lists(self):
-        database = make_generator("uniform").generate(10, 1, seed=1)
-        with pytest.raises(ValueError, match="vectorized"):
-            make_owner_node(
-                database.lists[0],
-                tracker="bitarray",
-                include_position=False,
-                columnar="columnar",
-            )
-
-    def test_unknown_mode_rejected(self, columnar):
-        with pytest.raises(ValueError, match="columnar mode"):
-            make_owner_node(
-                columnar.lists[0],
-                tracker="bitarray",
-                include_position=False,
-                columnar="nope",
-            )
-
-
-class TestColumnarNodeEquivalence:
-    """The vectorized serving path must mirror the per-entry reference."""
+class TestOwnerSourceEquivalence:
+    """One node class over either source: per-entry ``SortedList``
+    lookups and columnar NumPy gathers answer identically."""
 
     OPS = (
         ("sorted_block", {"count": 5}),
         ("random_lookup_many", {"items": [3, 7, 11]}),
         ("sorted_next", {}),
+        ("random_lookup", {"item": 20}),
         ("direct_step", {"items": [15]}),
         ("direct_block", {"items": [], "count": 4}),
+        ("direct_block", {"items": [30, 31], "count": 2}),
+        ("random_lookup_many", {"items": []}),
         ("sorted_block", {"count": 100}),
+        ("direct_next", {}),
         ("state", {}),
     )
 
     @pytest.mark.parametrize("include_position", [False, True])
-    def test_identical_over_mixed_op_sequence(self, columnar, include_position):
+    def test_identical_over_mixed_op_sequence(
+        self, plain, columnar, include_position
+    ):
         responses = {}
-        for mode in ("entry", "columnar"):
-            node = make_owner_node(
-                columnar.lists[0],
-                tracker="bitarray",
-                include_position=include_position,
-                columnar=mode,
+        for label, database in (("plain", plain), ("columnar", columnar)):
+            node = ListOwnerNode(
+                database.lists[0], include_position=include_position
             )
-            responses[mode] = [
+            responses[label] = [
                 node.handle(kind, dict(payload)) for kind, payload in self.OPS
             ]
-        assert responses["entry"] == responses["columnar"]
+        assert responses["plain"] == responses["columnar"]
+        # The sequence moves the best position, so piggybacks are compared.
+        assert any("bp_score" in response for response in responses["plain"])
 
-    def test_unknown_item_failure_is_identical(self, columnar):
-        known = columnar.lists[0].entry_at(1).item
-        for mode in ("entry", "columnar"):
-            node = make_owner_node(
-                columnar.lists[0],
-                tracker="bitarray",
-                include_position=False,
-                columnar=mode,
-            )
-            with pytest.raises(Exception) as excinfo:
+    @pytest.mark.parametrize(
+        "kind", ["random_lookup_many", "direct_step", "direct_block"]
+    )
+    @pytest.mark.parametrize("bad", [10**9, 10**30, 1.5])
+    def test_unknown_item_mid_batch_fails_identically(
+        self, plain, columnar, kind, bad
+    ):
+        first, second, third = (plain.lists[0].entry_at(p).item for p in (1, 2, 3))
+        states = {}
+        for label, database in (("plain", plain), ("columnar", columnar)):
+            node = ListOwnerNode(database.lists[0])
+            with pytest.raises(UnknownItemError):
                 node.handle(
-                    "random_lookup_many",
-                    {"items": [known, 10**9]},
+                    kind, {"items": [first, second, bad, third], "count": 2}
                 )
-            assert "10" in str(excinfo.value) or "unknown" in str(
-                excinfo.value
-            ).lower()
-            # The partial tally up to the failure point must match the
-            # scalar reference, which charges each access before the
-            # lookup: the known item and the failed one both metered.
-            state = node.handle("state", {})
-            assert state["random"] == 2
+            states[label] = node.handle("state", {})
+        assert states["plain"] == states["columnar"]
+        # Both charge each access before its lookup and mark every
+        # position served before the failure, as the per-item loop does.
+        assert states["plain"]["random"] == 3
+        assert states["plain"]["best_position"] == 2
+        assert states["plain"]["direct"] == 0
 
 
 class TestQuantilePinnedEdges:

@@ -59,7 +59,6 @@ def assert_layouts_identical(
     assert ours.pos_of == theirs.pos_of
     assert ours.pos1_by_row == theirs.pos1_by_row
     assert ours.score_at == theirs.score_at
-    assert ours.row_of == theirs.row_of
 
 
 def assert_same_answers(

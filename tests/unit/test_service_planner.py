@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import get_algorithm
-from repro.bench.batch import QuerySpec
 from repro.columnar import ColumnarDatabase
 from repro.datagen import UniformGenerator
 from repro.errors import InvalidQueryError
+from repro.exec import QuerySpec
 from repro.scoring import MIN, SUM
 from repro.service.planner import (
     AUTO_CANDIDATES,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.batch import QuerySpec
 from repro.datagen.base import make_generator
 from repro.errors import ProtocolError, ServiceError
+from repro.exec import QuerySpec
 from repro.scoring import SUM
 from repro.service import QueryService, ServicePolicy
 from repro.service.workload import answers_match, dynamic_from
