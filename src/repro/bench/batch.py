@@ -2,18 +2,19 @@
 
 The monitoring framing (many standing top-k queries over one shared
 database) makes *batch throughput* the metric that matters at scale: the
-per-database work — canonical ordering, item→position matrices, per-item
-overall scores — is paid once, and each query replays only its own
-access sequence.  :class:`BatchRunner` implements that:
+per-database work — canonical ordering, item→position matrices — is paid
+once, a row's overall score at most once per scoring, and each query
+replays only its own access sequence.  :class:`BatchRunner` implements that:
 
 * backend ``"python"`` — the reference algorithms on the pure-Python
   :class:`repro.lists.database.Database`;
 * backend ``"columnar"`` — a :class:`repro.columnar.ColumnarDatabase`,
   queried through :func:`repro.exec.run.execute_query`: configurations
   with an exact vectorized kernel (``TopKAlgorithm.fast_kernel()``) run
-  it over a :class:`~repro.columnar.QueryContext` shared by every query
-  with the same scoring semantics; everything else runs the reference
-  algorithm against columnar storage through the metered accessors.
+  it, reading per-item overall scores from the database's totals memo
+  shared by every query with the same scoring semantics; everything else
+  runs the reference algorithm against columnar storage through the
+  metered accessors.
 
 Either way the results are identical — same ranked answers, same access
 tallies — which :func:`compare_backends` re-checks on every run before
@@ -88,9 +89,6 @@ class BatchRunner:
                 if isinstance(database, ColumnarDatabase)
                 else database
             )
-        # One QueryContext per scoring semantics, shared across the batch
-        # (the ``contexts`` cache of :func:`execute_query`).
-        self._contexts: dict = {}
 
     @property
     def backend(self) -> str:
@@ -115,12 +113,7 @@ class BatchRunner:
         if self._backend == "python":
             return algorithm.run(self._database, k, spec.scoring), False
         result = execute_query(
-            self._database,
-            self._contexts,
-            spec.algorithm,
-            spec.options,
-            k,
-            spec.scoring,
+            self._database, spec.algorithm, spec.options, k, spec.scoring
         )
         return result, algorithm.fast_kernel() is not None
 
@@ -189,8 +182,9 @@ def compare_backends(
         for _ in range(max(1, repeats)):
             # A fresh runner per repeat so every timed run pays the full
             # cost of a cold batch, including the columnar per-scoring
-            # precomputation — repeats suppress scheduler noise, they
-            # must not warm the context cache.
+            # totals (each runner converts ``database`` into a snapshot
+            # of its own, memo included) — repeats suppress scheduler
+            # noise, they must not warm the memo.
             report = BatchRunner(database, backend=backend).run(batch)
             if best is None or report.seconds < best.seconds:
                 best = report

@@ -9,14 +9,22 @@ unchanged, with identical results and identical metered access tallies
 * :class:`ColumnarList` / :class:`ColumnarDatabase` — the storage, with
   vectorized batched lookups, block prefetch and whole-database
   score/position matrices;
+* :class:`TotalsMemo` — per snapshot and scoring semantics, the
+  per-item overall scores, filled on first touch and bounded per
+  snapshot (:func:`scoring_capacity`);
 * :mod:`repro.columnar.engine` — kernels (:func:`fast_ta`,
   :func:`fast_bpa`, :func:`fast_bpa2`) that replay the reference
-  algorithms' access sequences over precomputed columns, sharing one
-  :class:`QueryContext` across a batch of queries.
+  algorithms' access sequences over the flat columns, reading (and
+  filling) the snapshot's memo through a :class:`QueryContext`.
 """
 
 from repro.columnar.columnar_list import ColumnarList
-from repro.columnar.database import ColumnarDatabase, DatabaseLayout
+from repro.columnar.database import (
+    ColumnarDatabase,
+    DatabaseLayout,
+    TotalsMemo,
+    scoring_capacity,
+)
 from repro.columnar.patch import patch_database
 from repro.columnar.engine import (
     KERNELS,
@@ -33,6 +41,8 @@ __all__ = [
     "ColumnarList",
     "ColumnarDatabase",
     "DatabaseLayout",
+    "TotalsMemo",
+    "scoring_capacity",
     "patch_database",
     "QueryContext",
     "fast_ta",

@@ -9,8 +9,11 @@ feed the vectorized engine:
 * :meth:`score_matrix` — the ``(m, n)`` local-score matrix, one column
   per item (in ascending item-id order);
 * :meth:`position_matrix` — the ``(m, n)`` matrix of 0-based ranks;
-* :meth:`overall_scores` — per-item overall scores under a scoring
-  function, evaluated column-wise.
+* :meth:`totals_memo` — per scoring semantics, a :class:`TotalsMemo`
+  of per-item overall scores, filled on first touch and shared by the
+  planner's statistics and the kernels, so a scoring pays only for the
+  rows some algorithm actually reaches.  The snapshot keeps at most
+  :func:`scoring_capacity` of them (least recently used go first).
 
 Conversions: :meth:`from_database` / :meth:`to_database` move between
 the backends; both directions preserve the canonical (score desc, item
@@ -21,18 +24,73 @@ asc) layout bit-for-bit, which the differential suite under
 from __future__ import annotations
 
 import threading
+from array import array
+from collections import OrderedDict
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.columnar.columnar_list import ColumnarList
 from repro.errors import InconsistentListsError
-from repro.scoring import ScoringFunction
+from repro.scoring import ScoringFunction, scoring_key
 from repro.types import ItemId, Score
 
 
-#: Guards lazy layout derivation (see :meth:`ColumnarDatabase.layout`).
+#: Guards lazy layout derivation and the per-scoring memo table (see
+#: :meth:`ColumnarDatabase.layout` and :meth:`ColumnarDatabase.totals_memo`).
 _LAYOUT_LOCK = threading.Lock()
+
+#: Most scorings whose per-scoring state one snapshot keeps: its
+#: :class:`TotalsMemo` table, and the planner's statistics and plan memo.
+MAX_SCORINGS = 64
+#: Rows the memos of one snapshot may hold between them, so memory stays
+#: flat in ``n`` as well as in the number of scorings: the full
+#: :data:`MAX_SCORINGS` up to n = 20,000, proportionally fewer above.
+MAX_MEMO_ROWS = MAX_SCORINGS * 20_000
+
+#: Marks a row whose total has not been computed yet.
+_UNFILLED = float("nan")
+
+
+def scoring_capacity(n: int) -> int:
+    """How many scorings' per-scoring state to keep for ``n`` items."""
+    return max(1, min(MAX_SCORINGS, MAX_MEMO_ROWS // max(1, n)))
+
+
+class TotalsMemo:
+    """Row -> overall score under one scoring, filled on first touch.
+
+    ``totals[row]`` is NaN until some reader fills it, then the exact
+    float ``scoring`` returns for the row's local scores passed as a
+    list in list order — the floats of :meth:`ColumnarDatabase.score_matrix`,
+    which are the ones the reference algorithms aggregate, so a memo
+    read is bit-identical to per-item aggregation.  Fills are
+    idempotent: racing readers compute the same float, so concurrent
+    queries need no lock.  ``totals`` is an ``array('d')``, so NumPy can
+    read and write it in place (``np.frombuffer``).
+    """
+
+    __slots__ = ("scoring", "totals", "_columns")
+
+    def __init__(self, scoring: ScoringFunction, totals: array) -> None:
+        self.scoring = scoring
+        self.totals = totals
+        #: the ``(m, n)`` score matrix, bound on first hand-out
+        self._columns: np.ndarray | None = None
+
+    def fill(self, row: int) -> Score:
+        """Compute, store and return the total of one row."""
+        total = self.scoring(self._columns[:, row].tolist())
+        self.totals[row] = total
+        return total
+
+    def fill_rows(self, rows: np.ndarray) -> None:
+        """:meth:`fill` every row of ``rows`` in one gather."""
+        scoring, totals = self.scoring, self.totals
+        for row, scores in zip(
+            rows.tolist(), self._columns[:, rows].T.tolist()
+        ):
+            totals[row] = scoring(scores)
 
 
 class DatabaseLayout:
@@ -110,6 +168,7 @@ class ColumnarDatabase:
         "_score_matrix",
         "_position_matrix",
         "_layout",
+        "_memos",
     )
 
     def __init__(
@@ -133,6 +192,8 @@ class ColumnarDatabase:
         self._score_matrix: np.ndarray | None = None
         self._position_matrix: np.ndarray | None = None
         self._layout: DatabaseLayout | None = None
+        #: scoring key -> :class:`TotalsMemo`, least recently used first
+        self._memos: OrderedDict[tuple, TotalsMemo] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -293,15 +354,42 @@ class ColumnarDatabase:
                     self._layout = DatabaseLayout(self)
         return self._layout
 
-    def overall_scores(self, scoring: ScoringFunction) -> list[Score]:
-        """Overall score of every item (by ``uids_array`` row order).
+    def totals_memo(self, scoring: ScoringFunction) -> TotalsMemo:
+        """The :class:`TotalsMemo` of ``scoring``'s semantics (see
+        :func:`repro.scoring.scoring_key`), created empty on first use.
 
-        Evaluated by applying ``scoring`` to each column of
-        :meth:`score_matrix` — the exact same callable, argument order
-        and float values the reference algorithms use, so the results
-        are bit-identical to per-item aggregation.
+        The table keeps the :func:`scoring_capacity` most recently used
+        memos.  Thread-safe, under the layout lock (``submit_async``
+        worker threads share snapshots).
         """
-        return [scoring(column) for column in self.score_matrix().T.tolist()]
+        key = scoring_key(scoring)
+        memos = self._memos
+        with _LAYOUT_LOCK:
+            memo = memos.get(key)
+            if memo is None:
+                memo = TotalsMemo(scoring, array("d", [_UNFILLED]) * self.n)
+                memos[key] = memo
+                while len(memos) > scoring_capacity(self.n):
+                    memos.popitem(last=False)
+            else:
+                memos.move_to_end(key)
+            if memo._columns is None:
+                memo._columns = self.score_matrix()
+        return memo
+
+    def carry_memos(
+        self, successor: "ColumnarDatabase", touched_rows: Sequence[int]
+    ) -> None:
+        """Copy every memo to a successor snapshot with the same rows, in
+        which only ``touched_rows`` changed their local scores: every
+        other row keeps its total (same floats in, same float out)."""
+        with _LAYOUT_LOCK:
+            memos = list(self._memos.items())
+        for key, memo in memos:
+            totals = array("d", memo.totals)
+            for row in touched_rows:
+                totals[row] = _UNFILLED
+            successor._memos[key] = TotalsMemo(memo.scoring, totals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ColumnarDatabase m={self.m} n={self.n}>"

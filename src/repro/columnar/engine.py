@@ -6,25 +6,31 @@ random access walks accessor → list → dataclass construction.  The
 kernels here execute the *same* access sequence — access for access,
 float for float — against flat columns:
 
-* all per-database work (canonical ordering, the item→position matrix,
-  per-item overall scores under the scoring function) is hoisted into a
-  :class:`QueryContext`, built once with NumPy and shared by every query
-  with the same scoring semantics (see
-  :func:`repro.exec.run.execute_query`, the one kernel dispatcher);
+* the scoring-independent layout (canonical ordering, the item→position
+  matrix as plain lists) is derived once per snapshot and cached on it
+  (:class:`repro.columnar.database.DatabaseLayout`);
+* per-item overall scores come from the snapshot's
+  :class:`repro.columnar.database.TotalsMemo` for the query's scoring
+  semantics: a kernel reads a row's total there and computes it on first
+  touch, so a query pays scoring calls only for the rows it (or an
+  earlier query, or the planner) reached — not for all ``n``;
+* a :class:`QueryContext` just binds the two, so building one is O(1)
+  and :func:`repro.exec.run.execute_query`, the one kernel dispatcher,
+  builds one per execution;
 * the per-query replay loop then touches nothing but flat lists,
   bytearrays and the shared :class:`TopKBuffer`.
 
 Because the stop rules have no side effects and every access of
 TA/BPA/BPA2 is determined by the data, replaying the access sequence on
-precomputed columns yields *identical* results: the same ranked top-k,
+the flat columns yields *identical* results: the same ranked top-k,
 the same per-mode access tallies, the same rounds/stop positions and
 the same ``extras``.  This is not assumed — ``tests/differential/``
 proves it against the reference implementations on Hypothesis-generated
 databases, including tie-heavy ones.
 
-Overall scores are precomputed with the *actual* scoring callable over
-the score-matrix columns (argument order = list order, same floats), so
-even non-associative aggregations like ``math.fsum`` match bit-for-bit.
+Overall scores are computed with the *actual* scoring callable over the
+row's local scores (argument order = list order, same floats), so even
+non-associative aggregations like ``math.fsum`` match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import heapq
 
 from repro.algorithms.base import TopKBuffer
-from repro.columnar.database import ColumnarDatabase
+from repro.columnar.database import ColumnarDatabase, TotalsMemo
 from repro.errors import InvalidQueryError
 from repro.scoring import SUM, ScoringFunction
 from repro.types import AccessTally, Score, ScoredItem, TopKResult
@@ -41,12 +47,13 @@ _INF = float("inf")
 
 
 class QueryContext:
-    """Per-(database, scoring) precomputation shared across a batch.
+    """One (database, scoring) pair, bound for a kernel replay.
 
-    Everything a kernel replay needs, as plain Python lists (scalar
-    indexing on lists is ~3x faster than NumPy element access, and the
-    replay loop is scalar by nature — NumPy does the heavy lifting once,
-    here, at build time).
+    Everything a replay reads, as plain Python lists (scalar indexing on
+    lists is ~3x faster than NumPy element access, and the replay loop
+    is scalar by nature): the snapshot's cached layout and its totals
+    memo for the scoring.  Nothing is computed here, so a context costs
+    O(1) once the snapshot's layout exists.
     """
 
     __slots__ = (
@@ -59,8 +66,7 @@ class QueryContext:
         "pos_of",
         "pos1_by_row",
         "score_at",
-        "totals",
-        "heap_entries",
+        "memo",
     )
 
     def __init__(self, database: ColumnarDatabase, scoring: ScoringFunction) -> None:
@@ -81,13 +87,9 @@ class QueryContext:
         self.score_at: list[list[float]] = layout.score_at
         #: row -> its 1-based position in every list (list order).
         self.pos1_by_row: list[list[int]] = layout.pos1_by_row
-        #: row -> overall score under ``scoring`` (the exact callable).
-        self.totals: list[float] = database.overall_scores(scoring)
-        #: row -> the exact ``(score, -item)`` heap entry TopKBuffer would
-        #: build for it, preallocated so the replay loop only indexes.
-        self.heap_entries: list[tuple[float, int]] = list(
-            zip(self.totals, (-item for item in self.ids))
-        )
+        #: row -> overall score under ``scoring``, NaN until first touch
+        #: (``memo.totals``; ``memo.fill(row)`` computes and stores it).
+        self.memo: TotalsMemo = database.totals_memo(scoring)
 
 
 def _require_valid_k(k: int, n: int) -> None:
@@ -102,7 +104,7 @@ def _as_context(
     if isinstance(database, QueryContext):
         if database.scoring is not scoring:
             raise InvalidQueryError(
-                "QueryContext was precomputed for a different scoring function"
+                "QueryContext was built for a different scoring function"
             )
         return database
     return QueryContext(database, scoring)
@@ -118,7 +120,8 @@ def fast_ta(
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at, totals, ids = ctx.rows_at, ctx.score_at, ctx.totals, ctx.ids
+    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
+    totals, fill = ctx.memo.totals, ctx.memo.fill
 
     buffer = TopKBuffer(k)
     evaluated = bytearray(n)
@@ -137,7 +140,10 @@ def fast_ta(
             # access, repeated even for already-seen items (Lemma 2).
             if not evaluated[row]:
                 evaluated[row] = 1
-                buffer.add(ids[row], totals[row])
+                total = totals[row]
+                if total != total:  # NaN: first touch of this row
+                    total = fill(row)
+                buffer.add(ids[row], total)
         threshold = scoring(last)
         if buffer.all_at_least(threshold):
             break
@@ -166,7 +172,7 @@ def fast_bpa(
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
     rows_at, pos_of, score_at = ctx.rows_at, ctx.pos_of, ctx.score_at
-    totals, ids = ctx.totals, ctx.ids
+    totals, fill, ids = ctx.memo.totals, ctx.memo.fill, ctx.ids
 
     buffer = TopKBuffer(k)
     evaluated = bytearray(n)
@@ -200,7 +206,10 @@ def fast_bpa(
                 bp[j] = b
             if not evaluated[row]:
                 evaluated[row] = 1
-                buffer.add(ids[row], totals[row])
+                total = totals[row]
+                if total != total:  # NaN: first touch of this row
+                    total = fill(row)
+                buffer.add(ids[row], total)
         lam = scoring([score_at[i][bp[i] - 1] for i in range(m)])
         if buffer.all_at_least(lam) or position >= n:
             tally = AccessTally(
@@ -227,15 +236,17 @@ def fast_bpa2(
     This is the batch throughput workhorse, so the running top-k heap
     and the per-round stop rule are inlined: the heap performs the exact
     operation sequence of :class:`TopKBuffer` (same ``(score, -item)``
-    entries, same eviction and tie-breaks), and the best-position local
+    entries, built when a row is first evaluated, same eviction and
+    tie-breaks), and the best-position local
     scores feeding ``lambda`` are maintained in place as best positions
     advance, instead of being re-gathered every round.
     """
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at = ctx.rows_at, ctx.score_at
-    pos1_by_row, heap_entries = ctx.pos1_by_row, ctx.heap_entries
+    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
+    pos1_by_row = ctx.pos1_by_row
+    totals, fill = ctx.memo.totals, ctx.memo.fill
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
     heap: list[tuple[Score, int]] = []  # TopKBuffer's exact entries
@@ -300,7 +311,10 @@ def fast_bpa2(
                             b += 1
                         bp[j] = b
                         bp_scores[j] = score_at[j][b - 1]
-            entry = heap_entries[row]
+            total = totals[row]
+            if total != total:  # NaN: first touch of this row
+                total = fill(row)
+            entry = (total, -ids[row])
             if heap_size < k:
                 heappush(heap, entry)
                 heap_size += 1
@@ -446,7 +460,7 @@ def fast_quick_combine(
     The reference's adaptive scheduling is a pure function of the scores
     seen so far: the next sorted access goes to the list with the
     largest recent score drop over the lookahead window, ties to the
-    lower list index.  Replaying that policy on the precomputed columns
+    lower list index.  Replaying that policy on the flat columns
     — same priming rounds, same drop arithmetic on the same floats,
     same per-new-item random-access completion — reproduces the
     reference's access sequence, and therefore its ranked answer,
@@ -455,7 +469,8 @@ def fast_quick_combine(
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at, totals, ids = ctx.rows_at, ctx.score_at, ctx.totals, ctx.ids
+    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
+    totals, fill = ctx.memo.totals, ctx.memo.fill
     lookahead = 3  # QuickCombine's default; other values gate the kernel off
 
     buffer = TopKBuffer(k)
@@ -475,7 +490,10 @@ def fast_quick_combine(
         if not evaluated[row]:
             evaluated[row] = 1
             new_items += 1  # costs m - 1 random accesses (once per item)
-            buffer.add(ids[row], totals[row])
+            total = totals[row]
+            if total != total:  # NaN: first touch of this row
+                total = fill(row)
+            buffer.add(ids[row], total)
 
     def threshold() -> Score:
         return scoring([h[-1] for h in history])

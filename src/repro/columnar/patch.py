@@ -14,8 +14,11 @@ The snapshot stays immutable: patching builds a *new*
 :class:`ColumnarDatabase` and new :class:`ColumnarList` objects only for
 the touched columns, sharing the untouched lists (and, when membership
 is unchanged, the predecessor's derived
-:class:`~repro.columnar.database.DatabaseLayout`) by reference.  That
-structural sharing is what makes snapshots epoch-versioned views:
+:class:`~repro.columnar.database.DatabaseLayout`) by reference.  With
+membership unchanged the per-scoring
+:class:`~repro.columnar.database.TotalsMemo` entries carry over too:
+untouched rows keep their overall scores, re-scored rows start over.
+That structural sharing is what makes snapshots epoch-versioned views:
 in-flight queries keep reading the object they captured while the
 service publishes the patched successor.
 
@@ -266,11 +269,18 @@ def patch_database(
     for item in removals:
         labels.pop(item, None)
     patched = ColumnarDatabase(new_lists, labels=labels or None)
-    if not membership_changed and database._layout is not None:
+    if not membership_changed:
         # Layout memoization tracks the patched snapshot: the kernels'
         # QueryContext, which derived the predecessor's layout, gets the
         # successor's without a from-scratch derivation on first query.
-        patched._layout = DatabaseLayout.patched(
-            database._layout, patched, touched_lists
+        if database._layout is not None:
+            patched._layout = DatabaseLayout.patched(
+                database._layout, patched, touched_lists
+            )
+        # So do the per-scoring totals: only re-scored rows start over.
+        rescored = {item for per_list in updates for item, _ in per_list}
+        rows = database.lists[0].rows_of(
+            np.fromiter(rescored, dtype=np.int64, count=len(rescored))
         )
+        database.carry_memos(patched, rows.tolist())
     return patched

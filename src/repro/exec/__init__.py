@@ -25,7 +25,7 @@ logic, reused by every stack that executes queries:
   standing :mod:`repro.watch` subscriptions);
 * :mod:`repro.exec.keys` — :class:`QuerySpec` and the canonical
   query/scoring identities shared by the result cache, the planner and
-  the context caches.
+  the snapshots' per-scoring totals memos.
 
 ``repro.service`` runs kernels over local shard pools;
 ``repro.distributed`` runs the planners over the network.  The

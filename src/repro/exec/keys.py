@@ -7,8 +7,11 @@ core need to answer "would the engine do identical work for these two
 queries?" — same algorithm, same (over)fetched ``k``, same scoring
 semantics, same algorithm options.  The helpers below canonicalize
 those dimensions; they live in the execution core (below
-:mod:`repro.service`) so shard workers, context caches and the result
-cache all share one notion of query identity.
+:mod:`repro.service`) so the planner, the result cache and the
+snapshot's per-scoring totals memo share one notion of query identity.
+:func:`scoring_key` itself lives in :mod:`repro.scoring` (the columnar
+storage below this package keys its memo by it) and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping, Set
 
-from repro.scoring import SUM, ScoringFunction
+from repro.scoring import SUM, ScoringFunction, scoring_key
 
 
 @dataclass(frozen=True)
@@ -32,29 +35,6 @@ class QuerySpec:
     k: int = 10
     scoring: ScoringFunction = SUM
     options: Mapping[str, object] = field(default_factory=dict)
-
-
-def scoring_key(scoring: ScoringFunction) -> tuple:
-    """A hashable identity for a scoring function's *semantics*.
-
-    Stock scorings have faithful reprs (``SumScoring()``,
-    ``WeightedSumScoring([2.0, 0.5])``) so equal-behaving instances map
-    to the same key.  A callable whose repr is the *default* one (it
-    embeds the object's address) gets the instance itself appended to
-    the key: comparing by the repr string alone would let CPython's
-    address reuse alias a dead scoring with a later, different one,
-    while pinning the instance makes the key identity-true (and keeps
-    the object alive exactly as long as anything caches under it).
-    """
-    rep = repr(scoring)
-    base = (
-        type(scoring).__qualname__,
-        str(getattr(scoring, "name", "")),
-        rep,
-    )
-    if f"at 0x{id(scoring):x}" in rep:
-        return base + (scoring,)
-    return base
 
 
 def freeze_value(value: Any) -> Hashable:

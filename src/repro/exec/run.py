@@ -2,11 +2,12 @@
 
 :func:`execute_query` is the single-database step every higher layer
 shares: the shard executor runs it per shard (locally or inside a
-pinned worker process), and the service's async front-end runs it on
-worker threads.  It dispatches to the exact vectorized columnar kernel
-when the algorithm configuration has one, falling back to the reference
-implementation through the metered accessors — either way the results
-are identical (``tests/differential/`` proves it).
+pinned worker process), the batch runner per query, and the service's
+async front-end runs it on worker threads.  It dispatches to the exact
+vectorized columnar kernel when the algorithm configuration has one,
+falling back to the reference implementation through the metered
+accessors — either way the results are identical
+(``tests/differential/`` proves it).
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from typing import Mapping
 
 from repro.algorithms.base import get_algorithm
 from repro.columnar import ColumnarDatabase, QueryContext, get_kernel
-from repro.exec.keys import scoring_key
 from repro.scoring import ScoringFunction
 from repro.types import TopKResult
 
 
 def execute_query(
     database: ColumnarDatabase,
-    contexts: dict,
     algorithm: str,
     options: Mapping[str, object],
     k: int,
@@ -30,23 +29,13 @@ def execute_query(
 ) -> TopKResult:
     """Run one query on one database, through the kernel when one exists.
 
-    ``contexts`` caches one :class:`QueryContext` per scoring *semantics*
-    (see :func:`repro.exec.keys.scoring_key`); the stored scoring object
-    is reused so the context's identity check holds even when the
-    caller's instance crossed a process boundary.
+    The :class:`QueryContext` is built per execution: it is O(1), and
+    the per-scoring state worth keeping — the row totals — lives in the
+    snapshot's memo (:meth:`ColumnarDatabase.totals_memo`), shared by
+    every query with the same scoring semantics.
     """
     instance = get_algorithm(algorithm, **dict(options))
     kernel_name = instance.fast_kernel()
     if kernel_name is None:
         return instance.run(database, k, scoring)
-    key = scoring_key(scoring)
-    cached = contexts.get(key)
-    if cached is None:
-        # Concurrent submits can race to first-touch a scoring's context
-        # (``contexts`` is shared across worker threads); setdefault
-        # lets exactly one constructed pair win for everyone.
-        cached = contexts.setdefault(
-            key, (scoring, QueryContext(database, scoring))
-        )
-    stored_scoring, context = cached
-    return get_kernel(kernel_name)(context, k, stored_scoring)
+    return get_kernel(kernel_name)(QueryContext(database, scoring), k, scoring)

@@ -6,7 +6,12 @@ The paper requires the aggregation function ``f`` to be *monotonic*:
 scores; :func:`check_monotonic` probes arbitrary callables.
 """
 
-from repro.scoring.base import ScoringFunction, check_monotonic, ensure_monotonic
+from repro.scoring.base import (
+    ScoringFunction,
+    check_monotonic,
+    ensure_monotonic,
+    scoring_key,
+)
 from repro.scoring.functions import (
     AverageScoring,
     MaxScoring,
@@ -25,6 +30,7 @@ __all__ = [
     "ScoringFunction",
     "check_monotonic",
     "ensure_monotonic",
+    "scoring_key",
     "SumScoring",
     "WeightedSumScoring",
     "MinScoring",

@@ -25,6 +25,29 @@ class ScoringFunction(Protocol):
         ...
 
 
+def scoring_key(scoring: ScoringFunction) -> tuple:
+    """A hashable identity for a scoring function's *semantics*.
+
+    Stock scorings have faithful reprs (``SumScoring()``,
+    ``WeightedSumScoring([2.0, 0.5])``) so equal-behaving instances map
+    to the same key.  A callable whose repr is the *default* one (it
+    embeds the object's address) gets the instance itself appended to
+    the key: comparing by the repr string alone would let CPython's
+    address reuse alias a dead scoring with a later, different one,
+    while pinning the instance makes the key identity-true (and keeps
+    the object alive exactly as long as anything caches under it).
+    """
+    rep = repr(scoring)
+    base = (
+        type(scoring).__qualname__,
+        str(getattr(scoring, "name", "")),
+        rep,
+    )
+    if f"at 0x{id(scoring):x}" in rep:
+        return base + (scoring,)
+    return base
+
+
 def check_monotonic(
     function: ScoringFunction,
     arity: int,

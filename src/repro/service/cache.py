@@ -62,7 +62,7 @@ from repro.exec import certify
 from repro.exec.certify import RescoreFn  # noqa: F401
 
 # Canonical query/scoring identities live in the execution core so the
-# shard workers, context caches and this result cache agree on them;
+# planner, the totals memos and this result cache agree on them;
 # re-exported here for backward compatibility.
 from repro.exec.keys import (  # noqa: F401
     freeze_value,

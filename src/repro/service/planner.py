@@ -26,11 +26,19 @@ touched:
 
 Predicted stop positions use the observed data: TA stops at the first
 position ``p`` where the k-th best overall score reaches the threshold
-``scoring(last scores at p)``; both sides are precomputed once per
-(database, scoring) pair in :class:`ListStatistics`, so the estimate is
-a binary search, not a simulation.  (It is a lower bound — TA's running
+``scoring(last scores at p)``, so the estimate is a binary search over
+the thresholds, not a simulation.  (It is a lower bound — TA's running
 top-k can lag the true top-k — which is fine for *ranking* candidate
-algorithms that all share the bias.)
+algorithms that all share the bias.)  The k-th best overall score comes
+from a certified walk down the lists (:class:`ListStatistics`), not a
+sort of all ``n`` totals; the rows it scores land in the snapshot's
+totals memo (:meth:`repro.columnar.ColumnarDatabase.totals_memo`), where
+the kernels find them, so a scoring pays for roughly the rows above its
+stop depth, once.  Specs that force an algorithm skip the estimate
+unless adaptive feedback or a network-transport decision reads it.
+Statistics and memoized plans are kept for at most
+:func:`repro.columnar.scoring_capacity` entries each (oldest out), as
+the memos are.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 
 from repro.algorithms.base import get_algorithm
 from repro.analysis.model import expected_best_position_advance
-from repro.columnar import ColumnarDatabase
+from repro.columnar import ColumnarDatabase, scoring_capacity
 from repro.errors import InvalidQueryError
 from repro.exec.keys import QuerySpec, freeze_value, scoring_key
 from repro.scoring import SUM, ScoringFunction
@@ -271,13 +279,36 @@ class PlanDecision:
 class ListStatistics:
     """Observed statistics of one (database, scoring) pair.
 
-    Holds the sorted overall-score distribution and exposes the
-    per-position sorted-access threshold, the two ingredients of the
-    data-driven TA stop estimate.  Built once per scoring function and
-    reused by every plan.
+    Exposes the k-th best overall score and the per-position
+    sorted-access threshold, the two ingredients of the data-driven TA
+    stop estimate.  Built once per scoring function and reused by every
+    plan.
+
+    :meth:`kth_total` walks the lists top-down over the NumPy columns,
+    scoring each newly reached row through the snapshot's totals memo,
+    and stops at the first walked depth ``D`` where the k-th best total
+    seen is at least :meth:`threshold_at` ``(D)`` — an unseen row ranks
+    below ``D`` in every list, so by monotonicity it scores at most that
+    threshold, and the k-th best seen is the exact k-th best.  The walk
+    is resumable: one walk serves every ``k``, a larger ``k`` resumes it
+    deeper (steps grow with the depth), and an already-certified ``k``
+    is one index into the sorted walked totals.
     """
 
-    __slots__ = ("_scoring", "_n", "_m", "_totals_desc", "_score_arrays")
+    __slots__ = (
+        "_scoring",
+        "_n",
+        "_m",
+        "_lists",
+        "_score_arrays",
+        "_memo",
+        "_totals",
+        "_seen",
+        "_depth",
+        "_walked",
+        "_certified",
+        "_thresholds",
+    )
 
     def __init__(
         self, database: ColumnarDatabase, scoring: ScoringFunction
@@ -285,9 +316,22 @@ class ListStatistics:
         self._scoring = scoring
         self._n = database.n
         self._m = database.m
-        totals = np.asarray(database.overall_scores(scoring), dtype=np.float64)
-        self._totals_desc = np.sort(totals)[::-1]
+        self._lists = database.lists
         self._score_arrays = [lst.scores_array for lst in database.lists]
+        self._memo = database.totals_memo(scoring)
+        #: the memo's totals, in place (NaN = not scored yet)
+        self._totals = np.frombuffer(self._memo.totals, dtype=np.float64)
+        #: rows the walk has reached
+        self._seen = np.zeros(self._n, dtype=bool)
+        #: positions walked in every list
+        self._depth = 0
+        #: totals of the reached rows, ascending
+        self._walked = np.empty(0, dtype=np.float64)
+        #: every k up to this one is certified at the current depth
+        self._certified = 0
+        #: position -> threshold (binary searches for different k
+        #: probe the same positions)
+        self._thresholds: dict[int, float] = {}
 
     @property
     def n(self) -> int:
@@ -303,7 +347,42 @@ class ListStatistics:
         """The k-th best overall score in the database."""
         if not 1 <= k <= self._n:
             raise InvalidQueryError(f"k must be in 1..{self._n}, got {k}")
-        return float(self._totals_desc[k - 1])
+        while self._certified < k:
+            self._walk()
+        return float(self._walked[-k])
+
+    def _walk(self) -> None:
+        """Walk one step deeper and re-certify."""
+        depth = self._depth
+        end = min(self._n, depth + max(32, depth // 2))
+        seen = self._seen
+        reached = []
+        for lst in self._lists:
+            rows = lst.rows_of(lst.items_array[depth:end])
+            rows = rows[~seen[rows]]  # distinct within one list
+            seen[rows] = True
+            reached.append(rows)
+        rows = np.concatenate(reached)
+        totals = self._totals[rows]
+        unscored = np.isnan(totals)
+        if unscored.any():
+            try:
+                self._memo.fill_rows(rows[unscored])
+            except BaseException:
+                seen[rows] = False  # a failed step leaves the walk as it was
+                raise
+            totals = self._totals[rows]
+        walked = np.concatenate((self._walked, totals))
+        walked.sort()
+        self._walked = walked
+        self._depth = end
+        if end == self._n:
+            self._certified = self._n
+        else:
+            threshold = self.threshold_at(end)
+            self._certified = len(walked) - int(
+                np.searchsorted(walked, threshold, side="left")
+            )
 
     def threshold_at(self, position: int) -> float:
         """TA's threshold after ``position`` rounds of sorted access."""
@@ -311,9 +390,13 @@ class ListStatistics:
             raise InvalidQueryError(
                 f"position must be in 1..{self._n}, got {position}"
             )
-        return self._scoring(
-            [float(arr[position - 1]) for arr in self._score_arrays]
-        )
+        threshold = self._thresholds.get(position)
+        if threshold is None:
+            threshold = self._scoring(
+                [float(arr[position - 1]) for arr in self._score_arrays]
+            )
+            self._thresholds[position] = threshold
+        return threshold
 
     def stop_depth_for_target(self, target: float) -> int:
         """Smallest position whose threshold has dropped to ``target``.
@@ -367,6 +450,9 @@ class QueryPlanner:
         self._model = cost_model or CostModel.paper(max(2, database.n))
         self._feedback = feedback
         self._overfetch_override: bool | None = None
+        #: Per-scoring state kept for at most this many entries each
+        #: (oldest out: a hit must not pay for re-hashing its key).
+        self._capacity = scoring_capacity(database.n)
         self._statistics: dict[tuple, ListStatistics] = {}
         #: Plans are deterministic per planner, so memoize by normalized
         #: spec — a cache *hit* in the service must not re-pay the
@@ -411,7 +497,7 @@ class QueryPlanner:
         stats = self._statistics.get(key)
         if stats is None:
             stats = ListStatistics(self._database, scoring)
-            self._statistics[key] = stats
+            _remember(self._statistics, key, stats, self._capacity)
         return stats
 
     def bucketed_k(self, k: int, *, cache_enabled: bool) -> int:
@@ -641,7 +727,11 @@ class QueryPlanner:
         if memoized is not None and memoized[1] == generation:
             return memoized[0]
         k_fetch = self.bucketed_k(k_requested, cache_enabled=cache_enabled)
-        costs = self.predicted_costs(k_fetch, spec.scoring)
+        # The stop-depth estimate is the one per-scoring O(depth) cost of
+        # planning; a forced local plan never reads it.
+        costs: dict[str, float] = {}
+        if spec.algorithm == "auto" or self._feedback is not None:
+            costs = self.predicted_costs(k_fetch, spec.scoring)
 
         if not self._policy.allow_random:
             if spec.algorithm not in ("auto", "nra"):
@@ -712,7 +802,9 @@ class QueryPlanner:
                         f"{reason}; transport: local (options pin the "
                         "query to the shard pool)"
                     )
-            else:
+            elif self._wire_may_win():
+                if not costs:
+                    costs = self.predicted_costs(k_fetch, spec.scoring)
                 transport, transport_reason = self.choose_transport(
                     algorithm, k_fetch, spec.scoring
                 )
@@ -730,5 +822,25 @@ class QueryPlanner:
             reason=reason,
             transport=transport,
         )
-        self._plans[memo_key] = (decision, generation)
+        _remember(self._plans, memo_key, (decision, generation), self._capacity)
         return decision
+
+    def _wire_may_win(self) -> bool:
+        """Whether :meth:`choose_transport` can answer anything but local.
+
+        Under ``"auto"`` the network wins only on a negative wire
+        surcharge, which needs a cost model pricing messages or bytes
+        below zero; otherwise the answer is local whatever the stop
+        estimate, and the plan skips it.
+        """
+        if self._policy.transport == "network":
+            return True
+        model = self._model
+        return model.message_cost < 0 or model.byte_cost < 0
+
+
+def _remember(table: dict, key, value, capacity: int) -> None:
+    """Insert, evicting the oldest entries beyond ``capacity``."""
+    table[key] = value
+    while len(table) > capacity:
+        del table[next(iter(table))]

@@ -429,7 +429,7 @@ class QueryService:
             )
         else:
             # Keep pools (and their worker processes) warm across
-            # snapshots; only the shard data and contexts are replaced.
+            # snapshots; only the shard data is replaced.
             self._executor.reload(database, shards=shards)
         self._snapshot_epoch = self._epoch
         self._dirty = False

@@ -18,16 +18,15 @@ whose reported scores are lower *bounds* — is executed unsharded; see
 zero overhead — the default for tests), ``thread`` uses one shared
 ``ThreadPoolExecutor`` (useful when a list backend releases the GIL),
 ``process`` pins one single-worker ``ProcessPoolExecutor`` per shard so
-each worker holds its shard's columns and query contexts for its whole
-life — queries ship only ``(algorithm, k, scoring)`` over IPC.
-``auto`` picks ``process`` on multi-core hosts and ``serial`` on a
+each worker holds its shard's columns (and their per-scoring totals
+memos) for its whole life — queries ship only ``(algorithm, k,
+scoring)`` over IPC.  ``auto`` picks ``process`` on multi-core hosts and ``serial`` on a
 single CPU, where fan-out cannot buy wall-clock time.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Mapping
 
@@ -117,13 +116,11 @@ def partition_database(
 # ----------------------------------------------------------------------
 
 _WORKER_DATABASE: ColumnarDatabase | None = None
-_WORKER_CONTEXTS: dict = {}
 
 
 def _worker_init(database: ColumnarDatabase) -> None:
-    global _WORKER_DATABASE, _WORKER_CONTEXTS
+    global _WORKER_DATABASE
     _WORKER_DATABASE = database
-    _WORKER_CONTEXTS = {}
 
 
 def _worker_run(
@@ -133,9 +130,7 @@ def _worker_run(
     scoring: ScoringFunction,
 ) -> TopKResult:
     assert _WORKER_DATABASE is not None, "shard worker used before init"
-    return execute_query(
-        _WORKER_DATABASE, _WORKER_CONTEXTS, algorithm, options, k, scoring
-    )
+    return execute_query(_WORKER_DATABASE, algorithm, options, k, scoring)
 
 
 class ShardExecutor:
@@ -160,9 +155,6 @@ class ShardExecutor:
         self._database = database
         self._shard_dbs = partition_database(database, shards)
         self._pool_kind = resolve_pool(pool)
-        #: (shard index | -1 for the full database, scoring key) -> context
-        self._contexts: dict[int, dict] = {}
-        self._context_lock = threading.Lock()
         self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pools: list[ProcessPoolExecutor] | None = None
         self._closed = False
@@ -192,8 +184,9 @@ class ShardExecutor:
     def reload(self, database, *, shards: int | None = None) -> None:
         """Swap in a new snapshot of the data, keeping pools warm.
 
-        Re-partitions and clears the query-context caches.  When the
-        effective shard count is unchanged, dedicated process workers
+        Re-partitions; per-scoring state lives on the snapshots and
+        goes with the old ones.  When the effective shard count is
+        unchanged, dedicated process workers
         are *re-initialized in place* (each single-worker pool runs
         ``_worker_init`` with its new shard) instead of being respawned,
         so a mutate-then-query cycle pays one IPC round-trip per shard,
@@ -209,7 +202,6 @@ class ShardExecutor:
             database = ColumnarDatabase.from_database(database)
         new_shard_dbs = partition_database(database, self._shards_requested)
         self._database = database
-        self._contexts.clear()
         same_count = len(new_shard_dbs) == len(self._shard_dbs)
         self._shard_dbs = new_shard_dbs
         if same_count:
@@ -256,26 +248,6 @@ class ShardExecutor:
     # Execution
     # ------------------------------------------------------------------
 
-    def _local_contexts(self, index: int) -> dict:
-        # submit_async runs queries on worker threads; the lock keeps
-        # concurrent first-touches of one shard's context dict single.
-        with self._context_lock:
-            contexts = self._contexts.get(index)
-            if contexts is None:
-                contexts = {}
-                self._contexts[index] = contexts
-        return contexts
-
-    def _run_local(self, index, database, algorithm, options, k, scoring):
-        return execute_query(
-            database,
-            self._local_contexts(index),
-            algorithm,
-            options,
-            k,
-            scoring,
-        )
-
     def fanout_for(self, algorithm: str) -> int:
         """How many shards a query for ``algorithm`` fans out to."""
         if algorithm in MERGE_EXACT_ALGORITHMS:
@@ -297,8 +269,8 @@ class ShardExecutor:
         k = min(k, self._database.n)
 
         if self.fanout_for(algorithm) == 1:
-            result = self._run_local(
-                -1, self._database, algorithm, options, k, scoring
+            result = execute_query(
+                self._database, algorithm, options, k, scoring
             )
             extras = dict(result.extras)
             extras.setdefault("shards", 1)
@@ -321,15 +293,15 @@ class ShardExecutor:
         elif self._thread_pool is not None:
             futures = [
                 self._thread_pool.submit(
-                    self._run_local, s, db, algorithm, options, k_s, scoring
+                    execute_query, db, algorithm, options, k_s, scoring
                 )
-                for s, (db, k_s) in enumerate(zip(self._shard_dbs, shard_ks))
+                for db, k_s in zip(self._shard_dbs, shard_ks)
             ]
             partials = [future.result() for future in futures]
         else:
             partials = [
-                self._run_local(s, db, algorithm, options, k_s, scoring)
-                for s, (db, k_s) in enumerate(zip(self._shard_dbs, shard_ks))
+                execute_query(db, algorithm, options, k_s, scoring)
+                for db, k_s in zip(self._shard_dbs, shard_ks)
             ]
         return merge_shard_results(
             partials, [db.n for db in self._shard_dbs], k, algorithm

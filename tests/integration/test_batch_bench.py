@@ -62,28 +62,31 @@ class TestBatchRunner:
             reference = get_algorithm("bpa2").run(database, spec.k, spec.scoring)
             assert result == reference
 
-    def test_equal_scorings_share_one_context(self, monkeypatch):
-        # WeightedSumScoring has no __eq__, so contexts keyed by the
-        # object would cost one O(n) build per instance; keyed by scoring
-        # semantics, equal weights share one build and the answers hold.
-        import repro.exec.run as exec_run
+    def test_equal_scorings_share_one_totals_memo(self, monkeypatch):
+        # WeightedSumScoring has no __eq__, so a memo keyed by the object
+        # would score rows once per instance; keyed by scoring semantics,
+        # equal weights share one memo — every row is scored at most once
+        # across the batch — and the answers hold.
         from repro.algorithms.base import get_algorithm
+        from repro.columnar import TotalsMemo
 
         database = UniformGenerator().generate(500, 3, seed=3)
-        builds = []
-        context_class = exec_run.QueryContext
+        fills = []
+        fill = TotalsMemo.fill
 
-        def counting_context(*args):
-            builds.append(1)
-            return context_class(*args)
+        def counting_fill(memo, row):
+            fills.append(row)
+            return fill(memo, row)
 
-        monkeypatch.setattr(exec_run, "QueryContext", counting_context)
+        monkeypatch.setattr(TotalsMemo, "fill", counting_fill)
         batch = [
             QuerySpec(name, k=5, scoring=WeightedSumScoring([1.0, 2.0, 0.5]))
             for name in ("bpa2", "ta", "bpa", "bpa2")
         ]
-        report = BatchRunner(database, backend="columnar").run(batch)
-        assert len(builds) == 1
+        runner = BatchRunner(database, backend="columnar")
+        report = runner.run(batch)
+        assert len(runner.database._memos) == 1
+        assert fills and len(fills) == len(set(fills)) < database.n
         assert report.kernel_queries == 4
         for spec, result in zip(batch, report.results):
             reference = get_algorithm(spec.algorithm).run(
@@ -151,22 +154,35 @@ class TestCompareBackends:
         assert report["speedup"] > 0
         json.dumps(report)  # must be JSON-serializable as-is
 
-    def test_repeats_do_not_warm_the_context_cache(self, monkeypatch):
-        # Each timed repeat must pay the full cold-batch cost; a cached
-        # QueryContext carried across repeats inflates the speedup.
+    def test_repeats_do_not_warm_the_totals_memo(self, monkeypatch):
+        # Each timed repeat must pay the full cold-batch cost; totals
+        # memoized across repeats would inflate the speedup.  So every
+        # columnar repeat makes the same, non-zero number of scoring calls.
         from repro.bench import batch as batch_module
-        from repro.columnar import engine
+        from repro.scoring.functions import SumScoring
 
-        builds = []
-        original = engine.QueryContext.__init__
+        calls = []
+        call = SumScoring.__call__
+        run = batch_module.BatchRunner.run
 
-        def counting_init(self, database, scoring):
-            builds.append(1)
-            original(self, database, scoring)
+        def counting_call(scoring, scores):
+            calls.append(1)
+            return call(scoring, scores)
 
-        monkeypatch.setattr(engine.QueryContext, "__init__", counting_init)
+        per_repeat = []
+
+        def counting_run(runner, queries):
+            before = len(calls)
+            report = run(runner, queries)
+            per_repeat.append((runner.backend, len(calls) - before))
+            return report
+
+        monkeypatch.setattr(SumScoring, "__call__", counting_call)
+        monkeypatch.setattr(batch_module.BatchRunner, "run", counting_run)
         compare_backends(n=60, m=2, queries=4, k=3, repeats=3)
-        assert len(builds) == 3  # one context build per columnar repeat
+        columnar = [count for backend, count in per_repeat if backend == "columnar"]
+        assert len(columnar) == 3
+        assert columnar[0] > 0 and len(set(columnar)) == 1
 
     def test_cli_rejects_bad_k_and_queries(self, capsys):
         from repro.cli import main

@@ -350,3 +350,36 @@ class TestSnapshotRefreshBenchmark:
         # 3x2000 entries from scratch (observed ~8x; the floor leaves
         # headroom for a noisy CI box).
         assert report["speedup_patched_vs_rebuild"] > 1.2
+
+
+class TestPerScoringStateIsBounded:
+    """One distinct scoring per query (e.g. one per reverse-top-k user)
+    must not grow any per-scoring structure past its cap."""
+
+    def test_ten_thousand_scorings_stay_under_the_cap(self):
+        import numpy as np
+
+        from repro.columnar import scoring_capacity
+        from repro.scoring import WeightedSumScoring
+
+        database = UniformGenerator().generate(40, 3, seed=8)
+        cap = scoring_capacity(database.n)
+        assert cap < 10_000
+        rng = np.random.default_rng(0)
+        with QueryService(database, shards=1, pool="serial") as service:
+            planner = service.planner
+            snapshot = planner._database
+            peaks = {"statistics": 0, "plans": 0, "memos": 0}
+            for index in range(10_000):
+                scoring = WeightedSumScoring((1.0 - rng.random(3)).tolist())
+                algorithm = "auto" if index % 4 else "bpa2"
+                service.submit(QuerySpec(algorithm, k=1 + index % 7, scoring=scoring))
+                sizes = {
+                    "statistics": len(planner._statistics),
+                    "plans": len(planner._plans),
+                    "memos": len(snapshot._memos),
+                }
+                for name, size in sizes.items():
+                    peaks[name] = max(peaks[name], size)
+            assert service.planner is planner  # one snapshot throughout
+        assert peaks == {"statistics": cap, "plans": cap, "memos": cap}

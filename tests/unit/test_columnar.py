@@ -164,7 +164,7 @@ class TestColumnarDatabase:
         for row, item in enumerate(sorted(columnar.item_ids)):
             assert tuple(matrix[:, row] + 1) == python.positions(item)
 
-    def test_overall_scores_use_the_exact_callable(self, pair):
+    def test_memo_fill_uses_the_exact_callable(self, pair):
         _python, columnar = pair
         calls = []
 
@@ -172,14 +172,38 @@ class TestColumnarDatabase:
             name = "probe"
 
             def __call__(self, scores):
-                calls.append(list(scores))
+                calls.append(scores)
                 return sum(scores)
 
-        totals = columnar.overall_scores(Probe())
-        assert len(totals) == columnar.n
-        assert len(calls) == columnar.n
-        # argument order is list order
-        assert calls[0] == list(columnar.local_scores(0))
+        memo = columnar.totals_memo(Probe())
+        # nothing is scored up front
+        assert calls == [] and all(np.isnan(memo.totals))
+        row = 2
+        item = int(columnar.uids_array[row])
+        assert memo.fill(row) == sum(columnar.local_scores(item))
+        # one call, the local scores as a list in list order
+        assert calls == [list(columnar.local_scores(item))]
+        assert type(calls[0]) is list
+        memo.fill_rows(np.arange(columnar.n))
+        expected = [
+            list(columnar.local_scores(int(uid))) for uid in columnar.uids_array
+        ]
+        assert calls[1:] == expected
+        assert all(type(scores) is list for scores in calls)
+        assert list(memo.totals) == [sum(scores) for scores in expected]
+
+    def test_memo_is_shared_per_scoring_semantics_and_bounded(self, pair):
+        from repro.columnar import scoring_capacity
+        from repro.scoring import WeightedSumScoring
+
+        _python, columnar = pair
+        first = columnar.totals_memo(WeightedSumScoring([1.0, 2.0, 0.5]))
+        assert columnar.totals_memo(WeightedSumScoring([1.0, 2.0, 0.5])) is first
+        assert columnar.totals_memo(SUM) is not first
+        capacity = scoring_capacity(columnar.n)
+        for weight in range(1, capacity + 2):
+            columnar.totals_memo(WeightedSumScoring([float(weight), 1.0, 1.0]))
+        assert len(columnar._memos) == capacity
 
     def test_labels_round_trip(self):
         rows = [[1.0, 2.0]]

@@ -366,3 +366,88 @@ class TestFeedbackDrivenPlanning:
             ServicePolicy(drift_window=1)
         with pytest.raises(ValueError, match="drift_threshold"):
             ServicePolicy(drift_threshold=1.5)
+
+
+class CountingScoring:
+    """A weighted sum counting its calls; its default repr keys it by
+    identity, so no other instance shares its statistics or memo."""
+
+    name = "counting"
+
+    def __init__(self, weights) -> None:
+        from repro.scoring import WeightedSumScoring
+
+        self.calls = 0
+        self._inner = WeightedSumScoring(weights)
+
+    def __call__(self, scores):
+        self.calls += 1
+        return self._inner(scores)
+
+
+class TestForcedSpecsSkipTheEstimate:
+    """The stop-depth estimate runs only where a decision reads it."""
+
+    @pytest.mark.parametrize("algorithm", ("ta", "bpa", "bpa2", "nra", "qc"))
+    @pytest.mark.parametrize("transport", ("auto", "local"))
+    def test_forced_local_plan_makes_no_scoring_calls(
+        self, columnar, algorithm, transport
+    ):
+        planner = QueryPlanner(columnar, policy=ServicePolicy(transport=transport))
+        scoring = CountingScoring([0.7, 1.0, 0.2])
+        plan = planner.plan(QuerySpec(algorithm, 10, scoring), cache_enabled=False)
+        assert scoring.calls == 0
+        assert plan.predicted_costs == {}
+        assert plan.algorithm == algorithm
+        assert plan.transport == "local"
+        assert plan.reason == "algorithm requested explicitly"
+
+    def test_auto_plan_keeps_its_estimate(self, columnar):
+        planner = QueryPlanner(columnar)
+        scoring = CountingScoring([0.7, 1.0, 0.2])
+        plan = planner.plan(QuerySpec("auto", 10, scoring), cache_enabled=True)
+        assert scoring.calls > 0
+        assert plan.predicted_costs == planner.predicted_costs(plan.k_fetch, scoring)
+        assert plan.algorithm == min(
+            AUTO_CANDIDATES, key=lambda name: plan.predicted_costs[name]
+        )
+
+    def test_adaptive_forced_plan_keeps_its_estimate(self, columnar):
+        from repro.service.feedback import PlanFeedback
+
+        planner = QueryPlanner(columnar, feedback=PlanFeedback())
+        scoring = CountingScoring([0.7, 1.0, 0.2])
+        plan = planner.plan(QuerySpec("bpa2", 10, scoring), cache_enabled=False)
+        assert plan.predicted_costs == planner.predicted_costs(10, scoring)
+
+    def test_network_forced_plan_keeps_its_estimate(self, columnar):
+        planner = QueryPlanner(columnar, policy=ServicePolicy(transport="network"))
+        plan = planner.plan(QuerySpec("bpa2", 10, SUM), cache_enabled=False)
+        assert plan.transport.startswith("network-")
+        assert plan.predicted_costs == planner.predicted_costs(10, SUM)
+
+    def test_auto_transport_estimates_when_the_wire_can_win(self, columnar):
+        from repro.types import CostModel
+
+        model = CostModel.paper(columnar.n)
+        remote = CostModel(
+            sorted_cost=model.sorted_cost,
+            random_cost=model.random_cost,
+            direct_cost=model.direct_cost,
+            message_cost=-1.0,
+        )
+        planner = QueryPlanner(columnar, cost_model=remote)
+        plan = planner.plan(QuerySpec("bpa2", 10, SUM), cache_enabled=False)
+        assert plan.transport.startswith("network-")
+        assert plan.predicted_costs == planner.predicted_costs(10, SUM)
+
+    def test_reverse_fallbacks_plan_without_the_estimate(self, columnar):
+        from repro.service import QueryService
+
+        with QueryService(columnar, shards=1, pool="serial") as service:
+            service.reverse_registry.seed_users(12, columnar.m, seed=4)
+            item = service.submit(QuerySpec("bpa2", 1)).item_ids[0]
+            result = service.submit_reverse(item, 5)
+            assert result.stats.fallbacks > 0
+            # every fallback forced bpa2: no scoring walked the lists
+            assert len(service.planner._statistics) == 0
