@@ -32,7 +32,12 @@ import numpy as np
 
 from repro.columnar.columnar_list import ColumnarList
 from repro.errors import InconsistentListsError
-from repro.scoring import ScoringFunction, scoring_key
+from repro.scoring import (
+    ScoringFunction,
+    SumScoring,
+    WeightedSumScoring,
+    scoring_key,
+)
 from repro.types import ItemId, Score
 
 
@@ -64,10 +69,15 @@ class TotalsMemo:
     float ``scoring`` returns for the row's local scores passed as a
     list in list order — the floats of :meth:`ColumnarDatabase.score_matrix`,
     which are the ones the reference algorithms aggregate, so a memo
-    read is bit-identical to per-item aggregation.  Fills are
-    idempotent: racing readers compute the same float, so concurrent
-    queries need no lock.  ``totals`` is an ``array('d')``, so NumPy can
-    read and write it in place (``np.frombuffer``).
+    read is bit-identical to per-item aggregation.  :meth:`fill` scores
+    one row through the scoring's ``__call__``; :meth:`fill_rows` scores
+    a batch of rows, in one NumPy pass when the scoring is exactly a
+    :class:`~repro.scoring.SumScoring` or
+    :class:`~repro.scoring.WeightedSumScoring` (the same floats, see
+    :mod:`repro.scoring.batch`).  Fills are idempotent: racing readers
+    compute the same float, so concurrent queries need no lock.
+    ``totals`` is an ``array('d')``, so NumPy can read and write it in
+    place (``np.frombuffer``).
     """
 
     __slots__ = ("scoring", "totals", "_columns")
@@ -85,11 +95,21 @@ class TotalsMemo:
         return total
 
     def fill_rows(self, rows: np.ndarray) -> None:
-        """:meth:`fill` every row of ``rows`` in one gather."""
+        """:meth:`fill` every row of ``rows`` in one gather.
+
+        The stock sums (exactly these types: the choice never looks at
+        ``__call__``, so a subclass keeps its own semantics) score the
+        gathered ``(m, len(rows))`` block through their ``batch`` form,
+        which calls ``__call__`` only for the rare rows it cannot
+        certify; every other scoring is called once per row.
+        """
         scoring, totals = self.scoring, self.totals
-        for row, scores in zip(
-            rows.tolist(), self._columns[:, rows].T.tolist()
-        ):
+        block = self._columns[:, rows]
+        if type(scoring) in (SumScoring, WeightedSumScoring):
+            filled = scoring.batch(block)
+            np.frombuffer(totals, dtype=np.float64)[rows] = filled
+            return
+        for row, scores in zip(rows.tolist(), block.T.tolist()):
             totals[row] = scoring(scores)
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import ScoringError
+from repro.scoring.batch import fsum_columns
 from repro.types import Score
 
 
@@ -22,30 +25,37 @@ class SumScoring:
     def __call__(self, scores: Sequence[Score]) -> Score:
         return math.fsum(scores)
 
+    def batch(self, block: np.ndarray) -> np.ndarray:
+        """``self(column)`` for every column of an ``(m, r)`` block of
+        local scores, bit for bit (see :mod:`repro.scoring.batch`)."""
+        return fsum_columns(np.asarray(block, dtype=np.float64), None, self)
+
     def __repr__(self) -> str:
         return "SumScoring()"
 
 
 class WeightedSumScoring:
-    """``f(s1..sm) = w1*s1 + ... + wm*sm`` with non-negative weights.
+    """``f(s1..sm) = w1*s1 + ... + wm*sm`` with finite, non-negative weights.
 
-    Negative weights would break monotonicity, so they are rejected at
-    construction time.
+    Negative weights would break monotonicity, and a NaN or infinite
+    weight makes items score NaN (``inf * 0.0``), so both are rejected
+    at construction time.
     """
 
     def __init__(self, weights: Sequence[float]) -> None:
         if not weights:
             raise ScoringError("weighted sum needs at least one weight")
-        if any(w < 0 for w in weights):
+        self._weights = tuple(float(w) for w in weights)
+        if not all(math.isfinite(w) for w in self._weights):
+            raise ScoringError("weighted sum weights must be finite")
+        if any(w < 0 for w in self._weights):
             raise ScoringError(
                 "weighted sum weights must be non-negative to stay monotonic"
             )
-        self._weights = tuple(float(w) for w in weights)
         if not any(w > 0 for w in self._weights):
             # All-zero vectors score every item 0.0, collapsing the
             # total order to id-only ties — a degenerate "top-k" that no
-            # caller ever means.  (This also rejects all-NaN vectors,
-            # which would poison every aggregate.)
+            # caller ever means.
             raise ScoringError(
                 "weighted sum needs at least one strictly positive weight"
             )
@@ -68,6 +78,17 @@ class WeightedSumScoring:
                 f"expected {len(self._weights)} scores, got {len(scores)}"
             )
         return math.fsum(w * s for w, s in zip(self._weights, scores))
+
+    def batch(self, block: np.ndarray) -> np.ndarray:
+        """``self(column)`` for every column of an ``(m, r)`` block of
+        local scores, bit for bit (see :mod:`repro.scoring.batch`)."""
+        block = np.asarray(block, dtype=np.float64)
+        if len(block) != len(self._weights):
+            raise ScoringError(
+                f"expected {len(self._weights)} scores, got {len(block)}"
+            )
+        weights = np.asarray(self._weights)[:, np.newaxis]
+        return fsum_columns(block, weights, self)
 
     def __repr__(self) -> str:
         return f"WeightedSumScoring({list(self._weights)!r})"

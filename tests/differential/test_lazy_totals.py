@@ -14,7 +14,10 @@ must give exactly what the eager full scan gave:
   carried forward, equal a cold run (``==`` and ``.extras``), and a
   carried memo equals a fresh fill row for row;
 * a seeded grid of plans and shard decisions is identical under the
-  walk and under the full-scan reference.
+  walk and under the full-scan reference;
+* the stock sums fill a walk step's rows through their batch form, so
+  their only scalar calls are ``threshold_at`` probes, while a subclass
+  keeps its per-row calls.
 
 Databases come from every datagen family plus tie-heavy matrices.
 """
@@ -34,7 +37,7 @@ from repro.dynamic.database import MutationEvent
 from repro.errors import InvalidQueryError
 from repro.exec.keys import QuerySpec
 from repro.lists.database import Database
-from repro.scoring import AVERAGE, MAX, MIN, SUM, WeightedSumScoring
+from repro.scoring import AVERAGE, MAX, MIN, SUM, SumScoring, WeightedSumScoring
 from repro.service.planner import (
     ListStatistics,
     PlanDecision,
@@ -163,6 +166,63 @@ class TestCertifiedWalk:
                 stats.kth_total(k)
 
 
+class TestBatchFills:
+    """The stock sums fill a walk step's rows in one batch."""
+
+    @pytest.mark.parametrize(
+        "make_scoring",
+        [lambda: SUM, lambda: WeightedSumScoring([0.4, 0.9, 0.1, 0.7])],
+        ids=["sum", "wsum"],
+    )
+    def test_walk_makes_no_per_row_scalar_calls(self, make_scoring, monkeypatch):
+        scoring = make_scoring()
+        calls = []
+        scalar = type(scoring).__call__
+
+        def counted(self, scores):
+            calls.append(list(scores))
+            return scalar(self, scores)
+
+        # patched on the class, as the service benchmark's tracer does
+        monkeypatch.setattr(type(scoring), "__call__", counted)
+        columnar = ColumnarDatabase.from_database(
+            make_generator("uniform").generate(2000, 4, seed=3)
+        )
+        stats = ListStatistics(columnar, scoring)
+        stats.kth_total(20)
+        totals = np.frombuffer(columnar.totals_memo(scoring).totals)
+        assert np.count_nonzero(~np.isnan(totals)) > 100
+        probes = [
+            [float(lst.scores_array[position - 1]) for lst in columnar.lists]
+            for position in stats._thresholds
+        ]
+        assert calls == probes  # only threshold_at's probes call the scoring
+        for row, column in enumerate(columnar.score_matrix().T.tolist()):
+            if not math.isnan(totals[row]):
+                assert totals[row].hex() == scalar(scoring, column).hex()
+
+    def test_a_subclass_keeps_its_own_per_row_calls(self):
+        class Doubled(SumScoring):
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, scores):
+                self.calls += 1
+                return 2.0 * math.fsum(scores)
+
+        scoring = Doubled()
+        columnar = ColumnarDatabase.from_database(
+            make_generator("uniform").generate(300, 3, seed=4)
+        )
+        rows = np.arange(0, columnar.n, 2)
+        memo = columnar.totals_memo(scoring)
+        memo.fill_rows(rows)
+        assert scoring.calls == len(rows)
+        block = columnar.score_matrix()
+        for row in rows.tolist():
+            assert memo.totals[row] == 2.0 * math.fsum(block[:, row].tolist())
+
+
 class TestKernelsOverSharedMemos:
     @settings(max_examples=40)
     @given(plain=databases(), data=st.data())
@@ -274,9 +334,18 @@ class TestConcurrentFills:
     """``submit_async`` workers and thread-pool shards share snapshots:
     racing first touches must agree with a cold run."""
 
-    def test_racing_threads_agree_with_cold_runs(self):
+    def test_racing_threads_agree_with_cold_runs(self, monkeypatch):
         import sys
         from concurrent.futures import ThreadPoolExecutor
+
+        batches = []
+        batch = WeightedSumScoring.batch
+
+        def counted_batch(self, block):
+            batches.append(block.shape[1])
+            return batch(self, block)
+
+        monkeypatch.setattr(WeightedSumScoring, "batch", counted_batch)
 
         plain = make_generator("uniform").generate(1500, 4, seed=5)
         columnar = ColumnarDatabase.from_database(plain)
@@ -309,6 +378,7 @@ class TestConcurrentFills:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 4 * len(jobs)
+        assert batches  # the walks filled their steps in batches
         for job, result in results:
             assert_same_result(result, expected[job])
         assert len(columnar._memos) == len(weights)

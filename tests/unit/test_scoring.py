@@ -1,5 +1,7 @@
 """Unit tests for scoring functions and monotonicity checking."""
 
+import math
+
 import pytest
 
 from repro.errors import NonMonotonicScoringError, ScoringError
@@ -72,6 +74,13 @@ class TestWeightedSum:
         scoring = WeightedSumScoring([1.0, 2.0])
         assert scoring.weights == (1.0, 2.0)
         assert "1" in scoring.name and "2" in scoring.name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # Regression: [nan, 1.0] constructed and scored every item NaN,
+        # and [inf, 1.0] scored NaN wherever the first score was 0.0.
+        with pytest.raises(ScoringError, match="finite"):
+            WeightedSumScoring([bad, 1.0])
 
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ScoringError):
