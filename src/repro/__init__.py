@@ -44,7 +44,7 @@ from repro.columnar import (
     fast_quick_combine,
     fast_ta,
 )
-from repro.exec import ExecutionBackend, QuerySpec
+from repro.exec import QuerySpec
 from repro.datagen import (
     CorrelatedGenerator,
     GaussianGenerator,
@@ -129,7 +129,6 @@ __all__ = [
     "compare_backends",
     # query service
     "QueryService",
-    "ExecutionBackend",
     "ServiceResult",
     "ServiceStats",
     "ServicePolicy",

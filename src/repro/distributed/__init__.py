@@ -8,19 +8,20 @@ those arguments measurable:
 
 * :class:`SimulatedNetwork` — synchronous request/response transport that
   counts messages and payload bytes;
-* :class:`ListOwnerNode` — one node per list, serving sorted / random /
-  direct accesses and (for BPA2) managing its best position locally;
-* :class:`NetworkBackend` — the network as one
-  :class:`repro.exec.ExecutionBackend` transport (per-entry, batched or
-  pipelined wire protocol) for the round-plan drivers in
-  :mod:`repro.exec.drivers`;
+* :class:`ListOwnerNode` — the server side of one list, serving sorted /
+  random / direct accesses and (for BPA2) managing its best position
+  locally;
+* :class:`OwnerDaemon` — one list owner: the nodes of the lists a
+  :class:`ClusterPlacement` assigns it (one list per owner by default)
+  behind one request protocol, with per-owner ``multi`` frames, NumPy
+  gathers over columnar lists and a ``state``-frame metrics endpoint;
+* :class:`NetworkBackend` — the coordinator side: it executes the
+  round plans of the drivers in :mod:`repro.exec.drivers` as per-entry,
+  batched or pipelined messages to the owners;
 * :class:`SocketCluster` / :class:`SocketNetwork` — the same owner
-  protocol served by real OS processes over length-prefixed TCP framing
-  (:mod:`repro.distributed.socket_transport`), multi-tenant since
-  :class:`ClusterPlacement` assigns lists to a configurable number of
-  :class:`OwnerDaemon` processes (per-owner frame coalescing, NumPy
-  gathers over columnar lists, ``.bpsn`` warm starts and a
-  ``state``-frame metrics endpoint);
+  daemons in real OS processes behind length-prefixed TCP framing
+  (:mod:`repro.distributed.socket_transport`), with ``.bpsn`` warm
+  starts;
 * coordinator-side drivers: :class:`DistributedTA`,
   :class:`DistributedBPA`, :class:`DistributedBPA2` (thin transport
   wrappers over the unified core) and the related-work baseline

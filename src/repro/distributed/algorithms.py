@@ -5,8 +5,9 @@ thin transport wrappers: the algorithm logic lives once in the round
 planners of :mod:`repro.exec.drivers`, and each driver here chooses how
 the plans are served —
 
-* ``transport="simulated"`` (default): one :class:`ListOwnerNode` per
-  list behind a :class:`SimulatedNetwork`, with per-round message/byte
+* ``transport="simulated"`` (default): in-process :class:`OwnerDaemon`
+  owners (one list each, or ``owners`` of them sharing the lists)
+  behind a :class:`SimulatedNetwork`, with per-round message/byte
   accounting in ``extras["network"]``.  ``protocol="entry"`` is the
   paper's per-entry RPC (one round trip per access);
   ``protocol="batch"`` coalesces a round's lookups per owner into
@@ -132,17 +133,14 @@ class _DistributedDriver:
                     "owners": cluster.placement.owners,
                 }
         else:
-            sim_placement = None
-            if self._owners is not None:
-                sim_placement = ClusterPlacement.build(
-                    database.m, owners=self._owners, strategy=self._placement
-                )
             backend = NetworkBackend(
                 database,
                 tracker=self._tracker_kind,
                 include_position=self.include_position,
                 protocol=self._protocol,
-                placement=sim_placement,
+                placement=ClusterPlacement.build(
+                    database.m, owners=self._owners, strategy=self._placement
+                ),
             )
             outcome = self._drive(backend, k, scoring)
             tally = backend.total_tally()
@@ -150,8 +148,8 @@ class _DistributedDriver:
                 "network": backend.network.stats.snapshot(),
                 "protocol": self._protocol,
             }
-            if sim_placement is not None:
-                extras["owners"] = sim_placement.owners
+            if self._owners is not None:
+                extras["owners"] = backend.placement.owners
         if not callable(self._block_width) and self._block_width > 1:
             extras["block_width"] = self._block_width
         return TopKResult(

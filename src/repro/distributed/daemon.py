@@ -1,15 +1,16 @@
-"""Multi-list owner daemons: routing, coalesced frames, observability.
+"""Owner daemons: routing, coalesced frames, observability.
 
-One :class:`OwnerDaemon` hosts every list that
-:class:`~repro.distributed.placement.ClusterPlacement` assigned to its
-owner process.  It speaks the :class:`~repro.distributed.nodes.ListOwnerNode`
-request protocol with two extensions:
+Every list owner is one :class:`OwnerDaemon` hosting the lists that
+:class:`~repro.distributed.placement.ClusterPlacement` assigned to it,
+in the coordinator's process (the simulated network) or in an owner
+process of its own (the socket cluster).  It speaks the
+:class:`~repro.distributed.nodes.ListOwnerNode` request protocol with
+two extensions:
 
 ``"list"`` routing field
     Any per-list request may carry ``{"list": i}`` naming the hosted
     global list index.  A daemon hosting exactly one list defaults to
-    it, so single-tenant daemons stay wire-compatible with the legacy
-    one-process-per-list cluster.
+    it, so one-list owners need no routing field on the wire.
 
 ``multi`` frames
     ``{"ops": [{"kind": ..., "payload": {..., "list": i}}, ...]}``
@@ -29,7 +30,8 @@ Observability (the ``/metrics`` idiom)
 
 Each hosted list is served by one :class:`ListOwnerNode`, which answers
 batched lookups and sorted blocks straight from columnar arrays when
-the source has them.
+the source has them.  A ``reset`` without a ``"list"`` field resets
+every hosted node, ready for the next query.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from collections import Counter
 from typing import Sequence
 
-from repro.distributed.nodes import DEFAULT_SESSION, ListOwnerNode
+from repro.distributed.nodes import ListOwnerNode
 from repro.errors import ProtocolError
 
 #: Default latency reservoir size (adaptive-hashmap-studio's
@@ -187,7 +189,7 @@ class OwnerDaemon:
             return self.metrics()
         if kind == "reset" and "list" not in payload:
             for node in self._nodes.values():
-                node.reset(payload.get("session", DEFAULT_SESSION))
+                node.reset()
             self.op_counts["reset"] += 1
             return {}
         index, node = self._route(payload)

@@ -25,7 +25,7 @@ Supported request kinds:
                           lookups, then up to ``b`` direct accesses, each
                           at the (possibly advanced) best position + 1
                           (the block BPA2 round step)
-``state``                 → the session's best position and access tally
+``state``                 → the best position and access tally
                           (remote transports read end-of-query state
                           through this instead of peeking at objects)
 ``get_scores_above``      ``{"threshold": t}`` → all entries scoring >= t
@@ -35,11 +35,11 @@ Supported request kinds:
 ``reset``                 clear per-query state
 ========================  ====================================================
 
-Concurrent queries: every request may carry a ``"session"`` id.  Each
-session gets its own sorted-access cursor, access tally and best-position
-tracker, so interleaved queries against the same owner do not disturb
-each other (see :class:`_Session`).  Requests without a session id share
-the default session, preserving the single-query API.
+An owner serves one query between ``reset`` requests: it holds exactly
+one sorted-access cursor, one access tally and one best-position
+tracker, so its state stays the size of its list whatever the wire
+sends.  A coordinator that runs queries one after another resets the
+owners in between, as ``repro-topk cluster serve`` clients do.
 
 One node class serves every source.  Batched lookups answer with one
 NumPy gather when the list has a vectorized ``lookup_many`` (a
@@ -59,24 +59,9 @@ from repro.errors import ProtocolError, UnknownItemError
 from repro.lists.accessor import ListAccessor, SortedListLike
 from repro.types import Position, Score
 
-#: Session id used when a request does not specify one.
-DEFAULT_SESSION = "default"
-
-
-class _Session:
-    """Per-query state at one owner: cursor/tally + best positions."""
-
-    __slots__ = ("accessor", "tracker")
-
-    def __init__(self, sorted_list: SortedListLike, tracker_kind: str) -> None:
-        self.accessor = ListAccessor(sorted_list)
-        self.tracker: BestPositionTracker = make_tracker(
-            tracker_kind, len(sorted_list)
-        )
-
 
 class ListOwnerNode:
-    """One list owner in the simulated distributed system.
+    """The server side of one list (owner daemons host one per list).
 
     Args:
         sorted_list: the list this node owns (any backend
@@ -100,27 +85,10 @@ class ListOwnerNode:
         self._gather = getattr(sorted_list, "lookup_many", None)
         self._tracker_kind = tracker
         self._include_position = include_position
-        self._sessions: dict[str, _Session] = {}
-        self._session_for(DEFAULT_SESSION)
-
-    def _session_for(self, session_id: str) -> _Session:
-        session = self._sessions.get(session_id)
-        if session is None:
-            session = _Session(self._list, self._tracker_kind)
-            self._sessions[session_id] = session
-        return session
-
-    @property
-    def _accessor(self) -> ListAccessor:
-        # Default-session accessor; kept as the public single-query view.
-        return self._sessions[DEFAULT_SESSION].accessor
-
-    @property
-    def _tracker(self) -> BestPositionTracker:
-        return self._sessions[DEFAULT_SESSION].tracker
+        self.reset()
 
     # ------------------------------------------------------------------
-    # Owner-side state (default-session views, used by the drivers)
+    # Owner-side state (used by the drivers)
     # ------------------------------------------------------------------
 
     @property
@@ -130,24 +98,15 @@ class ListOwnerNode:
 
     @property
     def best_position(self) -> Position:
-        """The locally managed best position (default session)."""
+        """The locally managed best position."""
         return self._tracker.best_position
 
-    def best_position_score(self, session: str = DEFAULT_SESSION) -> Score:
+    def best_position_score(self) -> Score:
         """Local score at the best position (inf while nothing is seen)."""
-        bp = self._session_for(session).tracker.best_position
+        bp = self._tracker.best_position
         if bp == 0:
             return float("inf")
         return self._list.score_at(bp)
-
-    def session_tally(self, session: str):
-        """Access tally of one session (for per-query accounting)."""
-        return self._session_for(session).accessor.tally
-
-    @property
-    def active_sessions(self) -> tuple[str, ...]:
-        """Ids of all sessions this owner has seen."""
-        return tuple(self._sessions)
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -155,65 +114,63 @@ class ListOwnerNode:
 
     def handle(self, kind: str, payload: dict) -> dict:
         """Serve one request (see module docstring for the protocol)."""
-        session = self._session_for(payload.get("session", DEFAULT_SESSION))
         if kind == "sorted_next":
-            return self._sorted_next(session)
+            return self._sorted_next()
         if kind == "random_lookup":
-            return self._random_lookup(session, payload["item"])
+            return self._random_lookup(payload["item"])
         if kind == "random_lookup_many":
-            return self._random_lookup_many(session, payload["items"])
+            return self._random_lookup_many(payload["items"])
         if kind == "sorted_block":
-            return self._sorted_block(session, payload["count"])
+            return self._sorted_block(payload["count"])
         if kind == "direct_next":
-            return self._direct_next(session)
+            return self._direct_next()
         if kind == "direct_step":
-            return self._direct_step(session, payload["items"])
+            return self._direct_step(payload["items"])
         if kind == "direct_block":
-            return self._direct_block(
-                session, payload.get("items", []), payload["count"]
-            )
+            return self._direct_block(payload.get("items", []), payload["count"])
         if kind == "state":
-            return self._state(session)
+            return self._state()
         if kind == "top":
-            return self._top(session, payload["count"])
+            return self._top(payload["count"])
         if kind == "get_scores_above":
-            return self._get_scores_above(session, payload["threshold"])
+            return self._get_scores_above(payload["threshold"])
         if kind == "reset":
-            self.reset(payload.get("session", DEFAULT_SESSION))
+            self.reset()
             return {}
         raise ProtocolError(f"unknown request kind: {kind!r}")
 
-    def reset(self, session_id: str = DEFAULT_SESSION) -> None:
-        """Clear one session's state (cursor, tally, best position)."""
-        self._sessions[session_id] = _Session(self._list, self._tracker_kind)
+    def reset(self) -> None:
+        """Clear the per-query state (cursor, tally, best position)."""
+        self._accessor = ListAccessor(self._list)
+        self._tracker: BestPositionTracker = make_tracker(
+            self._tracker_kind, len(self._list)
+        )
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
 
-    def _sorted_next(self, session: _Session) -> dict:
-        entry = session.accessor.sorted_next()
-        old_bp = session.tracker.best_position
-        session.tracker.mark(entry.position)
+    def _sorted_next(self) -> dict:
+        entry = self._accessor.sorted_next()
+        old_bp = self._tracker.best_position
+        self._tracker.mark(entry.position)
         response = {"item": entry.item, "score": entry.score}
         if self._include_position:
             response["position"] = entry.position
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _random_lookup(self, session: _Session, item: int) -> dict:
-        score, position = session.accessor.random_lookup(item)
-        old_bp = session.tracker.best_position
-        session.tracker.mark(position)
+    def _random_lookup(self, item: int) -> dict:
+        score, position = self._accessor.random_lookup(item)
+        old_bp = self._tracker.best_position
+        self._tracker.mark(position)
         response: dict = {"score": score}
         if self._include_position:
             response["position"] = position
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _lookups(
-        self, session: _Session, items: list[int]
-    ) -> tuple[list[Score], list[Position]]:
+    def _lookups(self, items: list[int]) -> tuple[list[Score], list[Position]]:
         """Metered random accesses for ``items``, each position marked.
 
         The per-item operations of ``random_lookup``, in order: one
@@ -228,21 +185,21 @@ class ListOwnerNode:
             except UnknownItemError:
                 pass
             else:
-                session.accessor.tally.random += len(items)
+                self._accessor.tally.random += len(items)
                 positions = positions.tolist()
                 for position in positions:
-                    session.tracker.mark(position)
+                    self._tracker.mark(position)
                 return scores.tolist(), positions
         scores: list[Score] = []
         positions: list[Position] = []
         for item in items:
-            score, position = session.accessor.random_lookup(item)
-            session.tracker.mark(position)
+            score, position = self._accessor.random_lookup(item)
+            self._tracker.mark(position)
             scores.append(score)
             positions.append(position)
         return scores, positions
 
-    def _random_lookup_many(self, session: _Session, items: list[int]) -> dict:
+    def _random_lookup_many(self, items: list[int]) -> dict:
         """Batched random access: one message for a round's lookups.
 
         The owner-side operations of ``len(items)`` ``random_lookup``
@@ -250,32 +207,32 @@ class ListOwnerNode:
         best-position score is piggybacked once if the whole batch
         advanced it.
         """
-        old_bp = session.tracker.best_position
-        scores, positions = self._lookups(session, items)
+        old_bp = self._tracker.best_position
+        scores, positions = self._lookups(items)
         response: dict = {"scores": scores}
         if self._include_position:
             response["positions"] = positions
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _sorted_block(self, session: _Session, count: int) -> dict:
+    def _sorted_block(self, count: int) -> dict:
         """Block sorted access: up to ``count`` entries in one message.
 
         The per-entry operations (metered accesses and tracker marks)
         are identical to ``count`` ``sorted_next`` requests; only the
         message count changes.  The block is clipped at the list end.
         """
-        old_bp = session.tracker.best_position
-        positions, items, scores = session.accessor.sorted_block_raw(count)
+        old_bp = self._tracker.best_position
+        positions, items, scores = self._accessor.sorted_block_raw(count)
         for position in positions:
-            session.tracker.mark(position)
+            self._tracker.mark(position)
         response: dict = {"items": items, "scores": scores}
         if self._include_position:
             response["positions"] = positions
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _direct_block(self, session: _Session, items: list[int], count: int) -> dict:
+    def _direct_block(self, items: list[int], count: int) -> dict:
         """Block BPA2 step: pending lookups, then up to ``count`` direct
         accesses, each at the (possibly advanced) best position + 1.
 
@@ -283,47 +240,47 @@ class ListOwnerNode:
         end while serving, so the originator can stop planning steps for
         this list without an extra probe message.
         """
-        old_bp = session.tracker.best_position
-        scores, _positions = self._lookups(session, items)
+        old_bp = self._tracker.best_position
+        scores, _positions = self._lookups(items)
         entries: list[tuple[int, Score]] = []
         for _ in range(count):
-            position = session.tracker.best_position + 1
-            if position > len(session.accessor):
+            position = self._tracker.best_position + 1
+            if position > len(self._accessor):
                 break
-            entry = session.accessor.direct_at(position)
-            session.tracker.mark(entry.position)
+            entry = self._accessor.direct_at(position)
+            self._tracker.mark(entry.position)
             entries.append((entry.item, entry.score))
         response: dict = {
             "scores": scores,
             "entries": entries,
-            "exhausted": session.tracker.best_position
-            >= len(session.accessor),
+            "exhausted": self._tracker.best_position
+            >= len(self._accessor),
         }
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _state(self, session: _Session) -> dict:
+    def _state(self) -> dict:
         """End-of-query state: best position plus the access tally."""
-        tally = session.accessor.tally
+        tally = self._accessor.tally
         return {
-            "best_position": session.tracker.best_position,
+            "best_position": self._tracker.best_position,
             "sorted": tally.sorted,
             "random": tally.random,
             "direct": tally.direct,
         }
 
-    def _direct_next(self, session: _Session) -> dict:
-        position = session.tracker.best_position + 1
-        if position > len(session.accessor):
+    def _direct_next(self) -> dict:
+        position = self._tracker.best_position + 1
+        if position > len(self._accessor):
             return {"exhausted": True}
-        entry = session.accessor.direct_at(position)
-        old_bp = session.tracker.best_position
-        session.tracker.mark(entry.position)
+        entry = self._accessor.direct_at(position)
+        old_bp = self._tracker.best_position
+        self._tracker.mark(entry.position)
         response = {"item": entry.item, "score": entry.score}
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _direct_step(self, session: _Session, items: list[int]) -> dict:
+    def _direct_step(self, items: list[int]) -> dict:
         """BPA2 round step: pending lookups, then one direct access.
 
         The per-item operations (and hence this owner's best-position
@@ -331,45 +288,45 @@ class ListOwnerNode:
         ``len(items)`` ``random_lookup`` requests followed by one
         ``direct_next`` — only the message count changes.
         """
-        old_bp = session.tracker.best_position
-        scores, _positions = self._lookups(session, items)
+        old_bp = self._tracker.best_position
+        scores, _positions = self._lookups(items)
         response: dict = {"scores": scores}
-        position = session.tracker.best_position + 1
-        if position > len(session.accessor):
+        position = self._tracker.best_position + 1
+        if position > len(self._accessor):
             response["exhausted"] = True
         else:
-            entry = session.accessor.direct_at(position)
-            session.tracker.mark(entry.position)
+            entry = self._accessor.direct_at(position)
+            self._tracker.mark(entry.position)
             response["item"] = entry.item
             response["score"] = entry.score
-        self._piggyback(session, response, old_bp)
+        self._piggyback(response, old_bp)
         return response
 
-    def _top(self, session: _Session, count: int) -> dict:
+    def _top(self, count: int) -> dict:
         """TPUT phase 1: the first ``count`` entries in one message."""
-        count = min(count, len(session.accessor))
+        count = min(count, len(self._accessor))
         entries = []
         for _ in range(count):
-            entry = session.accessor.sorted_next()
+            entry = self._accessor.sorted_next()
             entries.append((entry.item, entry.score))
         return {"entries": entries}
 
-    def _get_scores_above(self, session: _Session, threshold: float) -> dict:
+    def _get_scores_above(self, threshold: float) -> dict:
         """TPUT phase 2: every entry scoring at least ``threshold``.
 
         Continues sorted access from the current cursor; entries already
         shipped in phase 1 are not repeated.
         """
         entries = []
-        while not session.accessor.exhausted:
-            entry = session.accessor.sorted_next()
+        while not self._accessor.exhausted:
+            entry = self._accessor.sorted_next()
             if entry.score < threshold:
                 break
             entries.append((entry.item, entry.score))
         return {"entries": entries}
 
-    def _piggyback(self, session: _Session, response: dict, old_bp: Position) -> None:
+    def _piggyback(self, response: dict, old_bp: Position) -> None:
         """Attach the best-position score when the access advanced it."""
-        new_bp = session.tracker.best_position
+        new_bp = self._tracker.best_position
         if new_bp != old_bp:
             response["bp_score"] = self._list.score_at(new_bp)

@@ -70,8 +70,8 @@ class ClusterPlacement:
     ) -> "ClusterPlacement":
         """Place ``m`` lists on ``owners`` processes (default: one each).
 
-        ``owners`` of ``None`` or ``0`` keeps the legacy one-process-
-        per-list layout; larger than ``m`` is clamped to ``m``.
+        ``owners`` of ``None`` or ``0`` places one list per owner;
+        larger than ``m`` is clamped to ``m``.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")

@@ -23,8 +23,8 @@ travel as ``{"__error__": "..."}`` and re-raise client-side as
 :class:`NetworkStats` uses the *actual* frame sizes, prefix included.
 Requests to an owner hosting several lists carry a ``"list"`` routing
 field, and a round's ops for co-hosted lists coalesce into one
-``multi`` frame per owner (see ``NetworkBackend._execute_coalesced``) —
-at ``owners < m`` that is the transport's frame reduction, measured by
+``multi`` frame per owner (see ``NetworkBackend.execute_plan``) — at
+``owners < m`` that is the transport's frame reduction, measured by
 ``repro-topk cluster bench`` into ``reports/cluster_speedup.json``.
 
 Pipelining
@@ -250,8 +250,8 @@ class SocketCluster:
         database: any :class:`~repro.lists.accessor.DatabaseLike`; each
             owner group's lists ship (pickled) to one owner process,
             which binds an ephemeral loopback port and reports it back.
-        owners: number of owner processes (``None``/``0`` keeps the
-            legacy one per list); lists are assigned by ``placement``.
+        owners: number of owner processes (``None``/``0`` places one
+            list per owner); lists are assigned by ``placement``.
         placement: a strategy name (``"contiguous"``/``"striped"``) or a
             prebuilt :class:`ClusterPlacement`.
         tracker: best-position structure kind at the owners.

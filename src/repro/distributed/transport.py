@@ -1,36 +1,42 @@
-"""Networked fabrics as an :class:`repro.exec.ExecutionBackend`.
+"""The coordinator side of the list-owner protocol.
 
-This is the piece that makes the distributed stack "just another
-transport": the unified round-plan drivers in :mod:`repro.exec.drivers`
-emit plans, and this module turns each op into messages against
-:class:`ListOwnerNode` owners — in-process over a
-:class:`SimulatedNetwork`, or in separate OS processes over the framed
-TCP fabric of :mod:`repro.distributed.socket_transport` (both satisfy
-the same :class:`Fabric` interface).
+The round-plan drivers in :mod:`repro.exec.drivers` emit plans, and
+:class:`NetworkBackend` turns each op into messages to the
+:class:`~repro.distributed.daemon.OwnerDaemon` hosting its list:
+in process over a :class:`SimulatedNetwork`, or in separate OS
+processes over the framed TCP fabric of
+:mod:`repro.distributed.socket_transport` (both satisfy the same
+:class:`Fabric` interface).  A
+:class:`~repro.distributed.placement.ClusterPlacement` assigns lists to
+owners, one list per owner by default.
 
 Three wire protocols are supported:
 
-* ``"entry"`` — the original per-entry RPC: every access is one
-  request/response round trip (``messages == 2 * accesses``), matching
-  the paper's message-count argument;
-* ``"batch"`` — a round's random lookups to one owner travel in a
-  single ``random_lookup_many`` message, a sorted block in one
-  ``sorted_block`` message, and BPA2's per-list step (pending lookups +
-  direct accesses) is one ``direct_step`` / ``direct_block`` message.
-  Owner-side *operations* are identical entry for entry — same metered
-  accesses, same best-position walks, same piggyback points — so
-  results and tallies are unchanged while messages and bytes drop;
-* ``"pipelined"`` — the batched protocol's messages, dispatched as
-  overlapped waves: all of a round plan's requests go on the wire
-  before any response is read (plans are dependency-free by
-  construction, one op per list).  Message and byte counts are
-  *identical* to ``"batch"``; on a real socket fabric the sequential
-  round trips collapse into one, which ``repro dist-bench`` measures
-  as wall-clock per query.
+* ``"entry"`` — the per-entry RPC: every access is one
+  request/response round trip (``sorted_next``, ``random_lookup``,
+  ``direct_next``), so ``messages == 2 * accesses``, matching the
+  paper's message-count argument;
+* ``"batch"`` — one message per op: a sorted block is one
+  ``sorted_block`` message, a list's random lookups of a round one
+  ``random_lookup_many``, and BPA2's per-list step (pending lookups +
+  direct accesses) one ``direct_step`` / ``direct_block``.  A round
+  wave's ops for co-hosted lists travel together as one ``multi`` frame
+  per owner, sent as sequential round trips.  Owner-side *operations*
+  are identical entry for entry — same metered accesses, same
+  best-position walks, same piggyback points — so results and tallies
+  are unchanged while messages and bytes drop;
+* ``"pipelined"`` — the batched protocol's frames, dispatched as
+  overlapped waves: all of a round plan's frames go on the wire before
+  any response is read (plans are dependency-free by construction, one
+  op per list).  Message and byte counts are *identical* to
+  ``"batch"``; on a real socket fabric the sequential round trips
+  collapse into one.
 
-Best-position scores reach the originator only through the owners'
-piggybacked ``bp_score`` fields, exactly as the paper allows BPA2's
-coordinator to know them.
+Requests to an owner hosting one list carry no ``"list"`` routing
+field: its frames are the plain per-list protocol of
+:class:`~repro.distributed.nodes.ListOwnerNode`.  Best-position scores
+reach the originator only through the owners' piggybacked ``bp_score``
+fields, exactly as the paper allows BPA2's coordinator to know them.
 """
 
 from __future__ import annotations
@@ -41,9 +47,7 @@ from repro.distributed.daemon import OwnerDaemon
 from repro.distributed.network import NetworkStats, SimulatedNetwork
 from repro.distributed.nodes import ListOwnerNode
 from repro.distributed.placement import ClusterPlacement
-from repro.exec.backend import DirectStep, ExecutionBackend
 from repro.exec.plan import (
-    DirectBlock,
     DirectResult,
     Op,
     OpResult,
@@ -78,29 +82,36 @@ class Fabric(Protocol):
         ...
 
 
-class NetworkBackend(ExecutionBackend):
-    """Backend whose sources are list owners across a network fabric.
+class NetworkBackend:
+    """The round-plan drivers' sources: ``m`` list owners across a fabric.
+
+    The drivers in :mod:`repro.exec.drivers` hand it one
+    :class:`~repro.exec.plan.RoundPlan` at a time
+    (:meth:`execute_plan`) and read BPA2's best-position state back
+    (:meth:`best_position_scores`, :meth:`best_positions`).  Access
+    *accounting* happens at the owners — one tally increment per
+    semantic access, exactly as the metered accessors count — so driver
+    results carry the same tallies as the reference algorithms.
 
     Args:
         database: any :class:`~repro.lists.accessor.DatabaseLike`; each
-            list becomes one in-process :class:`ListOwnerNode` (columnar
-            lists are served natively — the owners run the same
-            vectorized storage the service uses).  For owners living in
-            other processes, use :meth:`remote` instead.
+            owner group's lists are hosted by one in-process
+            :class:`OwnerDaemon` (columnar lists are served natively —
+            the owners run the same vectorized storage the service
+            uses).  For owners living in other processes, use
+            :meth:`remote` instead.
         tracker: best-position structure kind at the owners.
-        include_position: ship positions in lookup responses (BPA).
+        include_position: ship positions in lookup responses.  BPA needs
+            them at the originator (:func:`repro.exec.drivers.run_bpa`
+            rejects a backend without them); BPA2 pointedly does not
+            ship them — its communication saving.
         protocol: ``"entry"``, ``"batch"`` or ``"pipelined"`` (see
             module docstring).
         network: an existing fabric to attach to (a fresh
             :class:`SimulatedNetwork` when ``None``); owners register
-            under ``owner/<index>``.
-        placement: a :class:`ClusterPlacement` assigning lists to owner
-            processes.  ``None`` keeps the legacy one-node-per-list
-            layout; with a placement, each owner group is hosted by one
-            :class:`OwnerDaemon` registered under ``owner/<owner>``,
-            requests to multi-list owners carry a ``"list"`` routing
-            field, and batch/pipelined round waves coalesce into one
-            frame per owner (see :meth:`execute_plan`).
+            under ``owner/<owner>``.
+        placement: a :class:`ClusterPlacement` assigning lists to
+            owners; ``None`` places one list per owner.
     """
 
     def __init__(
@@ -121,32 +132,21 @@ class NetworkBackend(ExecutionBackend):
             placement=placement,
         )
         self.network: Fabric = network or SimulatedNetwork()
-        if placement is None:
-            self.owners = [
-                ListOwnerNode(
-                    sorted_list,
-                    tracker=tracker,
-                    include_position=include_position,
-                )
-                for sorted_list in database.lists
-            ]
-            for address, owner in zip(self._addresses, self.owners):
-                self.network.register(address, owner)
-            return
-        nodes_by_list: dict[int, ListOwnerNode] = {}
-        self.daemons: list[OwnerDaemon] = []
-        for owner, group in enumerate(placement.groups):
-            daemon = OwnerDaemon(
+        self.daemons = [
+            OwnerDaemon(
                 [database.lists[index] for index in group],
                 list_indices=group,
                 tracker=tracker,
                 include_position=include_position,
             )
+            for group in self.placement.groups
+        ]
+        for owner, daemon in enumerate(self.daemons):
             self.network.register(f"owner/{owner}", daemon)
-            self.daemons.append(daemon)
-            for index in group:
-                nodes_by_list[index] = daemon.node_for(index)
-        self.owners = [nodes_by_list[index] for index in range(self.m)]
+        owner_of = self.placement.owner_of
+        self.owners = [
+            self.daemons[owner_of[index]].node_for(index) for index in range(self.m)
+        ]
 
     @classmethod
     def remote(
@@ -172,7 +172,6 @@ class NetworkBackend(ExecutionBackend):
             placement=placement,
         )
         backend.network = fabric
-        backend.owners = None
         return backend
 
     def _init_common(
@@ -182,13 +181,15 @@ class NetworkBackend(ExecutionBackend):
         n: int,
         include_position: bool,
         protocol: str,
-        placement: ClusterPlacement | None = None,
+        placement: ClusterPlacement | None,
     ) -> None:
         if protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}"
             )
-        if placement is not None and placement.m != m:
+        if placement is None:
+            placement = ClusterPlacement.build(m)
+        elif placement.m != m:
             raise ValueError(
                 f"placement covers {placement.m} lists, database has {m}"
             )
@@ -197,23 +198,16 @@ class NetworkBackend(ExecutionBackend):
         self.include_position = include_position
         self.protocol = protocol
         self.placement = placement
+        #: in-process owner nodes by list, peeked at for end-of-query
+        #: state (``None`` for remote owners, read through ``state``).
         self.owners: list[ListOwnerNode] | None = None
-        if placement is None:
-            self._addresses = [f"owner/{index}" for index in range(m)]
-            # No routing fields, no coalescing: one owner per list.
-            self._needs_list = [False] * m
-            self._coalesce = False
-        else:
-            self._addresses = [
-                f"owner/{placement.owner_of[index]}" for index in range(m)
-            ]
-            sizes = [len(group) for group in placement.groups]
-            # Single-list owners default the routing; omitting the field
-            # keeps their frames byte-identical to the legacy cluster.
-            self._needs_list = [
-                sizes[placement.owner_of[index]] > 1 for index in range(m)
-            ]
-            self._coalesce = placement.max_group > 1
+        owner_of = placement.owner_of
+        self._addresses = [f"owner/{owner_of[index]}" for index in range(m)]
+        # A one-list owner defaults the routing: its frames carry no
+        # "list" field.
+        self._needs_list = [
+            len(placement.groups[owner_of[index]]) > 1 for index in range(m)
+        ]
         self._bp_scores: list[Score] = [_INF] * m
         #: client-side sorted cursors (the sorted position is derivable
         #: even when the wire omits it, include_position=False).
@@ -227,204 +221,100 @@ class NetworkBackend(ExecutionBackend):
             payload["list"] = i
         return payload
 
-    # ------------------------------------------------------------------
-    # ExecutionBackend primitives
-    # ------------------------------------------------------------------
-
-    def begin_round(self) -> None:
-        self.network.stats.begin_round()
-
     def _absorb(self, list_index: int, response: dict) -> dict:
         bp_score = response.get("bp_score")
         if bp_score is not None:
             self._bp_scores[list_index] = bp_score
         return response
 
-    def sorted_next(self, i: int) -> tuple[ItemId, Score, Position]:
-        response = self._absorb(
-            i,
-            self.network.request(
-                self._addresses[i], "sorted_next", self._routed(i)
-            ),
-        )
+    def _sorted_entry(
+        self, i: int, response: dict
+    ) -> tuple[ItemId, Score, Position]:
+        """One ``sorted_next`` answer; the client-side cursor supplies
+        the position when the wire omits it (include_position=False)."""
         self._cursors[i] += 1
-        # The sorted cursor equals the position even when the wire omits
-        # it (include_position=False).
         position = response.get("position", self._cursors[i])
         return response["item"], response["score"], position
 
-    def sorted_block(self, i: int, count: int):
-        if self.protocol == "entry":
-            return [self.sorted_next(i) for _ in range(count)]
-        response = self._absorb(
-            i,
-            self.network.request(
-                self._addresses[i],
-                "sorted_block",
-                self._routed(i, {"count": count}),
-            ),
-        )
-        return self._sorted_block_entries(i, response)
-
-    def _sorted_block_entries(self, i: int, response: dict):
-        items, scores = response["items"], response["scores"]
-        start = self._cursors[i]
-        self._cursors[i] = start + len(items)
-        positions = response.get(
-            "positions", range(start + 1, start + len(items) + 1)
-        )
-        return list(zip(items, scores, positions))
-
-    def random_lookup_many(
-        self, i: int, items: Sequence[ItemId]
-    ) -> list[tuple[Score, Position]]:
-        if not items:
-            return []
-        address = self._addresses[i]
-        if self.protocol == "entry":
-            results: list[tuple[Score, Position]] = []
-            for item in items:
-                response = self._absorb(
-                    i,
-                    self.network.request(
-                        address, "random_lookup", self._routed(i, {"item": item})
-                    ),
-                )
-                results.append(
-                    (response["score"], response.get("position", 0))
-                )
-            return results
-        response = self._absorb(
-            i,
-            self.network.request(
-                address,
-                "random_lookup_many",
-                self._routed(i, {"items": list(items)}),
-            ),
-        )
-        return self._lookup_pairs(response, len(items))
-
-    @staticmethod
-    def _lookup_pairs(response: dict, count: int):
-        positions = response.get("positions", [0] * count)
-        return list(zip(response["scores"], positions))
-
-    def direct_step(self, i: int, items: Sequence[ItemId]) -> DirectStep:
-        address = self._addresses[i]
-        if self.protocol == "entry":
-            lookups = [
-                score for score, _pos in self.random_lookup_many(i, items)
-            ]
-            response = self._absorb(
-                i, self.network.request(address, "direct_next", self._routed(i))
-            )
-            if response.get("exhausted"):
-                return lookups, None
-            return lookups, (response["item"], response["score"])
-        response = self._absorb(
-            i,
-            self.network.request(
-                address, "direct_step", self._routed(i, {"items": list(items)})
-            ),
-        )
-        lookups = list(response["scores"])
-        if response.get("exhausted"):
-            return lookups, None
-        return lookups, (response["item"], response["score"])
-
-    def direct_block(
-        self, i: int, items: Sequence[ItemId], count: int
-    ) -> DirectResult:
-        if self.protocol == "entry":
-            # Per-entry RPC: each pending lookup and each direct access
-            # is its own round trip.  Exhaustion mid-block surfaces as a
-            # (free) ``exhausted`` response; after a full block it stays
-            # unknown until the next round's first step — the owner-side
-            # operations are identical either way.
-            return super().direct_block(i, items, count)
-        response = self._absorb(
-            i,
-            self.network.request(
-                self._addresses[i],
-                "direct_block",
-                self._routed(i, {"items": list(items), "count": count}),
-            ),
-        )
-        return self._direct_result_from_block(response)
-
-    @staticmethod
-    def _direct_result_from_step(response: dict) -> DirectResult:
-        """Parse a ``direct_step`` response (single direct access)."""
-        lookups = tuple(response["scores"])
-        if response.get("exhausted"):
-            return DirectResult(lookups, (), True)
-        return DirectResult(
-            lookups, ((response["item"], response["score"]),), False
-        )
-
-    @staticmethod
-    def _direct_result_from_block(response: dict) -> DirectResult:
-        """Parse a ``direct_block`` response (up to ``count`` accesses)."""
-        return DirectResult(
-            tuple(response["scores"]),
-            tuple((item, score) for item, score in response["entries"]),
-            bool(response.get("exhausted")),
-        )
-
     # ------------------------------------------------------------------
-    # Round-plan execution (the pipelined protocol lives here)
+    # Round-plan execution
     # ------------------------------------------------------------------
 
     def execute_plan(self, plan: RoundPlan) -> list[OpResult]:
-        if plan.new_round:
-            self.begin_round()
-        if self._coalesce and self.protocol != "entry" and len(plan.ops) >= 2:
-            return self._execute_coalesced(plan)
-        if self.protocol != "pipelined" or len(plan.ops) < 2:
-            return [self.execute_op(op) for op in plan.ops]
-        responses = self.network.request_many(
-            [self._op_request(op) for op in plan.ops]
-        )
-        return [
-            self._op_absorb(op, response)
-            for op, response in zip(plan.ops, responses)
-        ]
+        """Execute one round plan; results align with ``plan.ops``.
 
-    def _execute_coalesced(self, plan: RoundPlan) -> list[OpResult]:
-        """One frame per *owner*: a wave's ops for co-hosted lists travel
-        together as a ``multi`` frame (owners with a single op of the
-        wave get the plain op frame, keeping per-kind accounting stable).
-        Batch sends the owner frames as sequential round trips, pipelined
-        as one overlapped wave — either way the frame count per wave is
-        the owner count, not the list count.
+        Under ``entry`` every access of every op is its own round trip,
+        op by op.  Otherwise each op becomes one request
+        (:meth:`_op_request`); an owner hosting several of the plan's
+        lists gets them as one ``multi`` frame, every other owner the
+        plain op frame (keeping per-kind accounting stable), so a wave
+        costs one frame per owner, not per list.  ``batch`` sends the
+        frames as sequential round trips, ``pipelined`` as one
+        overlapped wave, and :meth:`_op_absorb` parses every answer.
         """
+        if plan.new_round:
+            self.network.stats.begin_round()
+        if self.protocol == "entry":
+            return [self._entry_op(op) for op in plan.ops]
         groups = group_ops_by_owner(plan.ops, self.placement.owner_of)
-        requests: list[tuple[list[Op], tuple[str, str, dict | None]]] = []
+        frames: list[tuple[str, str, dict | None]] = []
         for owner, ops in groups.items():
             if len(ops) == 1:
-                requests.append((ops, self._op_request(ops[0])))
+                frames.append(self._op_request(ops[0]))
                 continue
             sub_ops = []
             for op in ops:
                 _address, kind, payload = self._op_request(op)
                 sub_ops.append({"kind": kind, "payload": payload or {}})
-            requests.append((ops, (f"owner/{owner}", "multi", {"ops": sub_ops})))
-        if self.protocol == "pipelined" and len(requests) >= 2:
-            responses = self.network.request_many(
-                [request for _ops, request in requests]
-            )
+            frames.append((f"owner/{owner}", "multi", {"ops": sub_ops}))
+        if self.protocol == "pipelined":
+            responses = self.network.request_many(frames)
         else:
-            responses = [
-                self.network.request(*request) for _ops, request in requests
-            ]
+            responses = [self.network.request(*frame) for frame in frames]
         by_list: dict[int, OpResult] = {}
-        for (ops, _request), response in zip(requests, responses):
-            if len(ops) == 1:
-                by_list[ops[0].list_index] = self._op_absorb(ops[0], response)
-            else:
-                for op, sub_response in zip(ops, response["results"]):
-                    by_list[op.list_index] = self._op_absorb(op, sub_response)
+        for ops, response in zip(groups.values(), responses):
+            answers = response["results"] if len(ops) > 1 else (response,)
+            for op, answer in zip(ops, answers):
+                by_list[op.list_index] = self._op_absorb(op, answer)
         return [by_list[op.list_index] for op in plan.ops]
+
+    def _entry_op(self, op: Op) -> OpResult:
+        """Per-entry RPC: each access of ``op`` is its own round trip.
+
+        A direct block stops at the first ``exhausted`` answer (a free
+        probe, counted as a message); after a full block exhaustion
+        stays unknown until the list's next step.  The owner-side
+        operations equal the batched protocol's either way.
+        """
+        i = op.list_index
+        address = self._addresses[i]
+
+        def access(kind: str, payload: dict | None = None) -> dict:
+            response = self.network.request(address, kind, self._routed(i, payload))
+            return self._absorb(i, response)
+
+        if isinstance(op, SortedFetch):
+            return SortedResult(
+                tuple(
+                    [
+                        self._sorted_entry(i, access("sorted_next"))
+                        for _ in range(op.count)
+                    ]
+                )
+            )
+        lookups = [access("random_lookup", {"item": item}) for item in op.items]
+        if isinstance(op, ProbeBatch):
+            return ProbeResult(
+                tuple([(r["score"], r.get("position", 0)) for r in lookups])
+            )
+        scores = tuple([response["score"] for response in lookups])
+        entries: list[tuple[ItemId, Score]] = []
+        for _ in range(op.count):
+            response = access("direct_next")
+            if response.get("exhausted"):
+                return DirectResult(scores, tuple(entries), True)
+            entries.append((response["item"], response["score"]))
+        return DirectResult(scores, tuple(entries), False)
 
     def _op_request(self, op: Op) -> tuple[str, str, dict | None]:
         """The batched-protocol wire message for one op."""
@@ -440,41 +330,47 @@ class NetworkBackend(ExecutionBackend):
                 "random_lookup_many",
                 self._routed(i, {"items": list(op.items)}),
             )
-        if isinstance(op, DirectBlock):
-            if op.count == 1:
-                return (
-                    address,
-                    "direct_step",
-                    self._routed(i, {"items": list(op.items)}),
-                )
+        if op.count == 1:
             return (
                 address,
-                "direct_block",
-                self._routed(i, {"items": list(op.items), "count": op.count}),
+                "direct_step",
+                self._routed(i, {"items": list(op.items)}),
             )
-        raise TypeError(f"unknown op type: {type(op).__name__}")
+        return (
+            address,
+            "direct_block",
+            self._routed(i, {"items": list(op.items), "count": op.count}),
+        )
 
     def _op_absorb(self, op: Op, response: dict) -> OpResult:
-        """Parse one op's response (mirrors the sequential paths)."""
+        """Parse one op's batched-protocol response."""
         i = op.list_index
         self._absorb(i, response)
         if isinstance(op, SortedFetch):
             if op.count == 1:
-                self._cursors[i] += 1
-                position = response.get("position", self._cursors[i])
-                return SortedResult(
-                    ((response["item"], response["score"], position),)
-                )
-            return SortedResult(
-                tuple(self._sorted_block_entries(i, response))
+                return SortedResult((self._sorted_entry(i, response),))
+            items, scores = response["items"], response["scores"]
+            start = self._cursors[i]
+            self._cursors[i] = start + len(items)
+            positions = response.get(
+                "positions", range(start + 1, start + len(items) + 1)
             )
+            return SortedResult(tuple(list(zip(items, scores, positions))))
         if isinstance(op, ProbeBatch):
-            return ProbeResult(
-                tuple(self._lookup_pairs(response, len(op.items)))
+            positions = response.get("positions", [0] * len(op.items))
+            return ProbeResult(tuple(list(zip(response["scores"], positions))))
+        lookups = tuple(response["scores"])
+        if op.count > 1:
+            return DirectResult(
+                lookups,
+                tuple([(item, score) for item, score in response["entries"]]),
+                bool(response.get("exhausted")),
             )
-        if op.count == 1:
-            return self._direct_result_from_step(response)
-        return self._direct_result_from_block(response)
+        if response.get("exhausted"):
+            return DirectResult(lookups, (), True)
+        return DirectResult(
+            lookups, ((response["item"], response["score"]),), False
+        )
 
     # ------------------------------------------------------------------
     # End-of-query state
@@ -491,14 +387,19 @@ class NetworkBackend(ExecutionBackend):
         return self._states
 
     def best_position_scores(self) -> list[Score]:
+        """Local score at each list's best position (``inf`` while 0),
+        as learned from the owners' piggybacked updates — the
+        originator's inputs to BPA2's ``lambda``."""
         return list(self._bp_scores)
 
     def best_positions(self) -> list[Position]:
+        """Each list's current best position (0 before any access)."""
         if self.owners is not None:
             return [owner.best_position for owner in self.owners]
         return [state["best_position"] for state in self._fetch_states()]
 
     def total_tally(self) -> AccessTally:
+        """Accesses performed so far, summed over the lists."""
         if self.owners is not None:
             tally = AccessTally()
             for owner in self.owners:

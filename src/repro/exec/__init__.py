@@ -8,12 +8,10 @@ logic, reused by every stack that executes queries:
   database through the exact vectorized kernel when one exists, the
   reference algorithm otherwise (the per-shard / per-thread work unit
   of the service and the batch runner);
-* :class:`ExecutionBackend` — the source protocol the round planners
-  drive (sorted / random / best-position primitives, round-structured
-  so transports can batch); :class:`repro.distributed.NetworkBackend`
-  implements it over list owners;
 * :mod:`repro.exec.plan` — declarative :class:`RoundPlan` ops and the
-  engine (:func:`drive`) that executes planners against a backend;
+  engine (:func:`drive`) that executes planners against the list
+  owners of a :class:`repro.distributed.NetworkBackend` (which turns
+  each plan into per-entry, batched or pipelined messages);
 * :mod:`repro.exec.drivers` — TA/BPA/BPA2 round planners, classic
   (:func:`run_ta`, :func:`run_bpa`, :func:`run_bpa2`) and block
   (:func:`run_ta_block`, :func:`run_bpa_block`, :func:`run_bpa2_block`);
@@ -33,7 +31,6 @@ differential suites prove both produce results bit-identical to the
 reference single-node algorithms.
 """
 
-from repro.exec.backend import DirectStep, ExecutionBackend
 from repro.exec.drivers import (
     DRIVERS,
     DriverOutcome,
@@ -65,8 +62,6 @@ from repro.exec.plan import (
 from repro.exec.run import execute_query
 
 __all__ = [
-    "ExecutionBackend",
-    "DirectStep",
     "DriverOutcome",
     "DRIVERS",
     "RoundPlan",

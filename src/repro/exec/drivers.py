@@ -1,15 +1,16 @@
-"""Transport-agnostic drivers for TA, BPA and BPA2 — classic and block.
+"""Coordinator drivers for TA, BPA and BPA2 over list owners — classic
+and block.
 
 Each algorithm is a *planner*: a generator that owns the coordinator
 logic (bookkeeping, stopping rules) and emits declarative
 :class:`repro.exec.plan.RoundPlan`s; the shared engine
-(:func:`repro.exec.plan.drive`) executes those plans against any
-:class:`repro.exec.backend.ExecutionBackend`.  The same planner runs
-as per-entry or coalesced messages over the simulated network and as
-length-prefixed frames over TCP sockets;
-``tests/differential/`` proves every combination bit-identical —
-ranked answers *and* per-mode access tallies — to the reference
-single-node algorithms.
+(:func:`repro.exec.plan.drive`) executes those plans against a
+:class:`repro.distributed.transport.NetworkBackend`, whose wire
+protocol and fabric decide how each plan travels: per-entry or batched
+messages over the simulated network, or length-prefixed frames over
+TCP sockets.  ``tests/differential/`` proves every combination
+bit-identical — ranked answers *and* per-mode access tallies — to the
+reference single-node algorithms.
 
 The **classic** planners mirror the reference implementations exactly:
 
@@ -35,12 +36,10 @@ reference twins live in :mod:`repro.algorithms.block`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from repro.algorithms.base import TopKBuffer
 from repro.core.best_position import make_tracker
-from repro.exec.backend import ExecutionBackend
 from repro.exec.plan import (
     BlockRound,
     DirectBlock,
@@ -56,7 +55,8 @@ from repro.exec.plan import (
 from repro.scoring import ScoringFunction
 from repro.types import ItemId, Position, Score, ScoredItem
 
-_INF = float("inf")
+if TYPE_CHECKING:  # pragma: no cover - repro.distributed imports repro.exec
+    from repro.distributed.transport import NetworkBackend
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +191,7 @@ def _plan_bpa(
 
 
 def _plan_bpa2(
-    backend: ExecutionBackend, k: int, scoring: ScoringFunction
+    backend: NetworkBackend, k: int, scoring: ScoringFunction
 ) -> Planner:
     """BPA2's coordinator loop: best positions stay at the sources.
 
@@ -381,7 +381,7 @@ def _plan_bpa_block(
 
 
 def _plan_bpa2_block(
-    backend: ExecutionBackend, k: int, scoring: ScoringFunction, width: WidthSpec
+    backend: NetworkBackend, k: int, scoring: ScoringFunction, width: WidthSpec
 ) -> Planner:
     """Block BPA2: parallel direct blocks, then deduplicated probes.
 
@@ -437,52 +437,52 @@ def _plan_bpa2_block(
 
 
 def run_ta(
-    backend: ExecutionBackend, k: int, scoring: ScoringFunction
+    backend: NetworkBackend, k: int, scoring: ScoringFunction
 ) -> DriverOutcome:
-    """TA's coordinator loop over any backend."""
+    """TA's coordinator loop over list owners."""
     return drive(_plan_ta(backend.m, backend.n, k, scoring), backend)
 
 
 def run_bpa(
-    backend: ExecutionBackend,
+    backend: NetworkBackend,
     k: int,
     scoring: ScoringFunction,
     *,
     tracker: str = "bitarray",
 ) -> DriverOutcome:
-    """BPA over any backend; needs positions in lookup responses."""
+    """BPA over list owners; needs positions in lookup responses."""
     _require_positions(backend)
     return drive(_plan_bpa(backend.m, backend.n, k, scoring, tracker), backend)
 
 
 def run_bpa2(
-    backend: ExecutionBackend, k: int, scoring: ScoringFunction
+    backend: NetworkBackend, k: int, scoring: ScoringFunction
 ) -> DriverOutcome:
     """BPA2's coordinator loop: best positions stay at the sources."""
     return drive(_plan_bpa2(backend, k, scoring), backend)
 
 
 def run_ta_block(
-    backend: ExecutionBackend,
+    backend: NetworkBackend,
     k: int,
     scoring: ScoringFunction,
     *,
     width: WidthSpec = 8,
 ) -> DriverOutcome:
-    """Block TA over any backend (``width`` positions per round)."""
+    """Block TA over list owners (``width`` positions per round)."""
     _require_width(width)
     return drive(_plan_ta_block(backend.m, backend.n, k, scoring, width), backend)
 
 
 def run_bpa_block(
-    backend: ExecutionBackend,
+    backend: NetworkBackend,
     k: int,
     scoring: ScoringFunction,
     *,
     width: WidthSpec = 8,
     tracker: str = "bitarray",
 ) -> DriverOutcome:
-    """Block BPA over any backend; needs positions in responses."""
+    """Block BPA over list owners; needs positions in responses."""
     _require_width(width)
     _require_positions(backend)
     return drive(
@@ -492,18 +492,18 @@ def run_bpa_block(
 
 
 def run_bpa2_block(
-    backend: ExecutionBackend,
+    backend: NetworkBackend,
     k: int,
     scoring: ScoringFunction,
     *,
     width: WidthSpec = 8,
 ) -> DriverOutcome:
-    """Block BPA2 over any backend (``width`` direct accesses per round)."""
+    """Block BPA2 over list owners (``width`` direct accesses per round)."""
     _require_width(width)
     return drive(_plan_bpa2_block(backend, k, scoring, width), backend)
 
 
-def _require_positions(backend: ExecutionBackend) -> None:
+def _require_positions(backend: NetworkBackend) -> None:
     if not backend.include_position:
         raise ValueError(
             "BPA-family drivers need positions in random-lookup responses: "
@@ -520,8 +520,3 @@ DRIVERS = {
     "bpa-block": run_bpa_block,
     "bpa2-block": run_bpa2_block,
 }
-
-
-def block_driver(name: str, width: int):
-    """A width-bound block driver for one of the block registry names."""
-    return partial(DRIVERS[name], width=width)

@@ -14,14 +14,16 @@ round a first-class object:
   between them** (at most one op per list), so any transport may execute
   them concurrently;
 * :func:`drive` runs a *planner* — a generator yielding plans and
-  receiving their results — against any
-  :class:`repro.exec.backend.ExecutionBackend`.
+  receiving their results — against a
+  :class:`repro.distributed.transport.NetworkBackend`.
 
-Planners own the algorithm logic (stopping rules, bookkeeping); backends
-own the access semantics and accounting.  The same planner therefore
-runs vectorized over flat columnar arrays, as coalesced messages over
-the simulated network, or as length-prefixed frames over real TCP
-sockets — and the differential suites prove all of them bit-identical.
+Planners own the algorithm logic (stopping rules, bookkeeping); the
+list owners behind the backend own the access semantics and
+accounting.  The same planner therefore runs as per-entry or batched
+messages over the simulated network, or as length-prefixed frames over
+real TCP sockets — and the differential suites prove all of them
+bit-identical.  Single-node queries never come through here: they run
+the vectorized kernels via :func:`repro.exec.run.execute_query`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING, Generator, Sequence, Union
 from repro.types import ItemId, Position, Score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.backend import ExecutionBackend
+    from repro.distributed.transport import NetworkBackend
     from repro.exec.drivers import DriverOutcome
 
 
@@ -146,15 +148,15 @@ class RoundPlan:
 Planner = Generator[RoundPlan, "list[OpResult]", "DriverOutcome"]
 
 
-def drive(planner: Planner, backend: "ExecutionBackend") -> "DriverOutcome":
+def drive(planner: Planner, backend: "NetworkBackend") -> "DriverOutcome":
     """Execute a planner's round plans against a backend.
 
     The planner yields :class:`RoundPlan`s and receives the aligned
     :class:`OpResult` list for each; its ``return`` value is the
     driver outcome.  All transport knowledge lives in
-    :meth:`ExecutionBackend.execute_plan` — entry/batch protocols run
-    the ops sequentially, the pipelined protocol dispatches a plan's
-    messages concurrently.
+    :meth:`NetworkBackend.execute_plan` — the entry protocol sends one
+    message per access, batch one frame per owner in turn, and the
+    pipelined protocol puts a plan's frames on the wire together.
     """
     results: list[OpResult] | None = None
     while True:
@@ -163,8 +165,6 @@ def drive(planner: Planner, backend: "ExecutionBackend") -> "DriverOutcome":
         except StopIteration as stop:
             return stop.value
         results = backend.execute_plan(plan)
-        if results is None:  # a backend must always answer a plan
-            results = []
 
 
 # ----------------------------------------------------------------------

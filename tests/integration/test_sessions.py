@@ -1,114 +1,37 @@
-"""Concurrent-query sessions at the list owners.
+"""List owners hold one query's state, whatever ids the wire carries.
 
-Two interleaved queries against the same deployment must see independent
-cursors, tallies and best positions — a property a single-session owner
-cannot provide.
+An owner serves one query between ``reset`` requests.  A request field
+naming a session is not an owner concept: it must neither split the
+owner's cursor nor make it allocate per-id state, or a stream of frames
+with distinct ids would grow the owner without bound.
 """
 
-import pytest
+import tracemalloc
 
-from repro.distributed.nodes import DEFAULT_SESSION, ListOwnerNode
+from repro.datagen import UniformGenerator
+from repro.distributed.daemon import OwnerDaemon
+from repro.distributed.nodes import ListOwnerNode
 from repro.lists.sorted_list import SortedList
 
 
-@pytest.fixture()
-def owner() -> ListOwnerNode:
-    return ListOwnerNode(
-        SortedList([(0, 9.0), (1, 7.0), (2, 5.0), (3, 3.0)]),
-        include_position=True,
-    )
+def test_session_field_does_not_split_the_cursor():
+    owner = ListOwnerNode(SortedList([(0, 9.0), (1, 7.0), (2, 5.0)]))
+    first = owner.handle("sorted_next", {"session": "q1"})
+    second = owner.handle("sorted_next", {"session": "q2"})
+    assert (first["item"], second["item"]) == (0, 1)
+    assert owner.accessor.tally.sorted == 2
 
 
-class TestSessionIsolation:
-    def test_independent_cursors(self, owner):
-        first = owner.handle("sorted_next", {"session": "q1"})
-        second = owner.handle("sorted_next", {"session": "q2"})
-        # Both queries read position 1 — their cursors do not interact.
-        assert first["item"] == second["item"] == 0
-        third = owner.handle("sorted_next", {"session": "q1"})
-        assert third["item"] == 1
-
-    def test_independent_tallies(self, owner):
-        owner.handle("sorted_next", {"session": "q1"})
-        owner.handle("sorted_next", {"session": "q1"})
-        owner.handle("random_lookup", {"session": "q2", "item": 3})
-        assert owner.session_tally("q1").sorted == 2
-        assert owner.session_tally("q1").random == 0
-        assert owner.session_tally("q2").random == 1
-        assert owner.session_tally("q2").sorted == 0
-
-    def test_independent_best_positions(self, owner):
-        owner.handle("direct_next", {"session": "q1"})
-        owner.handle("direct_next", {"session": "q1"})
-        owner.handle("direct_next", {"session": "q2"})
-        assert owner.best_position_score("q1") == 7.0  # bp = 2
-        assert owner.best_position_score("q2") == 9.0  # bp = 1
-
-    def test_default_session_is_implicit(self, owner):
-        owner.handle("sorted_next", {})
-        assert owner.session_tally(DEFAULT_SESSION).sorted == 1
-        assert owner.accessor.tally.sorted == 1
-
-    def test_reset_targets_one_session(self, owner):
-        owner.handle("sorted_next", {"session": "q1"})
-        owner.handle("sorted_next", {"session": "q2"})
-        owner.handle("reset", {"session": "q1"})
-        assert owner.session_tally("q1").total == 0
-        assert owner.session_tally("q2").total == 1
-
-    def test_active_sessions_listed(self, owner):
-        owner.handle("sorted_next", {"session": "q1"})
-        owner.handle("sorted_next", {"session": "q2"})
-        assert set(owner.active_sessions) >= {DEFAULT_SESSION, "q1", "q2"}
-
-
-class TestInterleavedQueriesEndToEnd:
-    def test_two_interleaved_ta_queries_both_correct(self):
-        """Drive two TA queries by hand, strictly interleaved."""
-        from repro.algorithms.naive import brute_force_topk
-        from repro.datagen import UniformGenerator
-        from repro.scoring import SUM
-
-        database = UniformGenerator().generate(120, 3, seed=33)
-        owners = [ListOwnerNode(lst) for lst in database.lists]
-        expected = {
-            "q1": [e.score for e in brute_force_topk(database, 3, SUM)],
-            "q2": [e.score for e in brute_force_topk(database, 5, SUM)],
-        }
-
-        def run_round(session: str, state: dict) -> bool:
-            """One TA round for one session; returns True when stopped."""
-            last = []
-            for index, owner in enumerate(owners):
-                response = owner.handle("sorted_next", {"session": session})
-                last.append(response["score"])
-                item = response["item"]
-                if item not in state["overall"]:
-                    scores = [0.0] * len(owners)
-                    scores[index] = response["score"]
-                    for other in range(len(owners)):
-                        if other != index:
-                            reply = owners[other].handle(
-                                "random_lookup", {"session": session, "item": item}
-                            )
-                            scores[other] = reply["score"]
-                    state["overall"][item] = sum(scores)
-            k = state["k"]
-            top = sorted(state["overall"].values(), reverse=True)[:k]
-            return len(top) == k and top[-1] >= sum(last)
-
-        states = {
-            "q1": {"overall": {}, "k": 3},
-            "q2": {"overall": {}, "k": 5},
-        }
-        done = {"q1": False, "q2": False}
-        for _ in range(120):
-            for session in ("q1", "q2"):
-                if not done[session]:
-                    done[session] = run_round(session, states[session])
-            if all(done.values()):
-                break
-        assert all(done.values())
-        for session, state in states.items():
-            top = sorted(state["overall"].values(), reverse=True)[: state["k"]]
-            assert top == pytest.approx(expected[session])
+def test_distinct_session_ids_do_not_grow_the_owner():
+    database = UniformGenerator().generate(20_000, 1, seed=5)
+    daemon = OwnerDaemon(database.lists, list_indices=[0])
+    daemon.handle("sorted_next", {"session": "warm-up"})
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        for index in range(500):
+            daemon.handle("sorted_next", {"session": f"query-{index}"})
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1_000_000
