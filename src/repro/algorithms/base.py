@@ -11,7 +11,7 @@ import heapq
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidQueryError, ScoringError
 from repro.lists.accessor import DatabaseAccessor
 from repro.lists.database import Database
 from repro.scoring import SUM, ScoringFunction, ensure_monotonic
@@ -50,7 +50,17 @@ class TopKBuffer:
         return item in self._members
 
     def add(self, item: ItemId, score: Score) -> None:
-        """Offer a scored item; keeps only the k best."""
+        """Offer a scored item; keeps only the k best.
+
+        Raises :class:`~repro.errors.ScoringError` for a NaN score: it
+        compares false both ways, so which items the buffer kept would
+        depend on the order they arrived in — a NaN overall score has no
+        rank.
+        """
+        if score != score:
+            raise ScoringError(
+                f"item {item} scores NaN; a NaN overall score has no rank"
+            )
         if item in self._members:
             return
         entry = (score, -item)

@@ -12,9 +12,14 @@ unchanged, with identical results and identical metered access tallies
 * :class:`TotalsMemo` — per snapshot and scoring semantics, the
   per-item overall scores, filled on first touch and bounded per
   snapshot (:func:`scoring_capacity`);
-* :mod:`repro.columnar.engine` — kernels (:func:`fast_ta`,
-  :func:`fast_bpa`, :func:`fast_bpa2`) that replay the reference
-  algorithms' access sequences over the flat columns, reading (and
+* :class:`FirstSeenPrefix` — per snapshot, which rows parallel sorted
+  access has seen by each depth, extended lazily and shared by the
+  planner's walk and the TA/BPA kernels (:mod:`repro.columnar.walk`);
+* :mod:`repro.columnar.engine` — kernels with the reference algorithms'
+  exact results: :func:`fast_ta` and :func:`fast_bpa` search the prefix
+  for their stop depth and derive the result from it, while
+  :func:`fast_bpa2`, :func:`fast_nra` and :func:`fast_quick_combine`
+  replay their access sequences over the flat columns, all reading (and
   filling) the snapshot's memo through a :class:`QueryContext`.
 """
 
@@ -22,9 +27,9 @@ from repro.columnar.columnar_list import ColumnarList
 from repro.columnar.database import (
     ColumnarDatabase,
     DatabaseLayout,
-    TotalsMemo,
     scoring_capacity,
 )
+from repro.columnar.walk import FirstSeenPrefix, TotalsMemo, step_end
 from repro.columnar.patch import patch_database
 from repro.columnar.engine import (
     KERNELS,
@@ -42,6 +47,8 @@ __all__ = [
     "ColumnarDatabase",
     "DatabaseLayout",
     "TotalsMemo",
+    "FirstSeenPrefix",
+    "step_end",
     "scoring_capacity",
     "patch_database",
     "QueryContext",

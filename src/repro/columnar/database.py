@@ -13,7 +13,12 @@ feed the vectorized engine:
   of per-item overall scores, filled on first touch and shared by the
   planner's statistics and the kernels, so a scoring pays only for the
   rows some algorithm actually reaches.  The snapshot keeps at most
-  :func:`scoring_capacity` of them (least recently used go first).
+  :func:`scoring_capacity` of them (least recently used go first);
+* :meth:`first_seen_prefix` — the scoring-independent
+  :class:`FirstSeenPrefix` (which rows parallel sorted access has seen by
+  each depth), the one walk the planner and the TA/BPA kernels share;
+* :meth:`layout` — the scalar-indexable :class:`DatabaseLayout` the
+  replaying kernels (BPA2, NRA, QC) read.
 
 Conversions: :meth:`from_database` / :meth:`to_database` move between
 the backends; both directions preserve the canonical (score desc, item
@@ -23,7 +28,6 @@ asc) layout bit-for-bit, which the differential suite under
 
 from __future__ import annotations
 
-import threading
 from array import array
 from collections import OrderedDict
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,19 +35,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.columnar.columnar_list import ColumnarList
+from repro.columnar.walk import _LAYOUT_LOCK, UNFILLED, FirstSeenPrefix, TotalsMemo
 from repro.errors import InconsistentListsError
-from repro.scoring import (
-    ScoringFunction,
-    SumScoring,
-    WeightedSumScoring,
-    scoring_key,
-)
+from repro.scoring import ScoringFunction, scoring_key
 from repro.types import ItemId, Score
-
-
-#: Guards lazy layout derivation and the per-scoring memo table (see
-#: :meth:`ColumnarDatabase.layout` and :meth:`ColumnarDatabase.totals_memo`).
-_LAYOUT_LOCK = threading.Lock()
 
 #: Most scorings whose per-scoring state one snapshot keeps: its
 #: :class:`TotalsMemo` table, and the planner's statistics and plan memo.
@@ -53,64 +48,10 @@ MAX_SCORINGS = 64
 #: :data:`MAX_SCORINGS` up to n = 20,000, proportionally fewer above.
 MAX_MEMO_ROWS = MAX_SCORINGS * 20_000
 
-#: Marks a row whose total has not been computed yet.
-_UNFILLED = float("nan")
-
 
 def scoring_capacity(n: int) -> int:
     """How many scorings' per-scoring state to keep for ``n`` items."""
     return max(1, min(MAX_SCORINGS, MAX_MEMO_ROWS // max(1, n)))
-
-
-class TotalsMemo:
-    """Row -> overall score under one scoring, filled on first touch.
-
-    ``totals[row]`` is NaN until some reader fills it, then the exact
-    float ``scoring`` returns for the row's local scores passed as a
-    list in list order — the floats of :meth:`ColumnarDatabase.score_matrix`,
-    which are the ones the reference algorithms aggregate, so a memo
-    read is bit-identical to per-item aggregation.  :meth:`fill` scores
-    one row through the scoring's ``__call__``; :meth:`fill_rows` scores
-    a batch of rows, in one NumPy pass when the scoring is exactly a
-    :class:`~repro.scoring.SumScoring` or
-    :class:`~repro.scoring.WeightedSumScoring` (the same floats, see
-    :mod:`repro.scoring.batch`).  Fills are idempotent: racing readers
-    compute the same float, so concurrent queries need no lock.
-    ``totals`` is an ``array('d')``, so NumPy can read and write it in
-    place (``np.frombuffer``).
-    """
-
-    __slots__ = ("scoring", "totals", "_columns")
-
-    def __init__(self, scoring: ScoringFunction, totals: array) -> None:
-        self.scoring = scoring
-        self.totals = totals
-        #: the ``(m, n)`` score matrix, bound on first hand-out
-        self._columns: np.ndarray | None = None
-
-    def fill(self, row: int) -> Score:
-        """Compute, store and return the total of one row."""
-        total = self.scoring(self._columns[:, row].tolist())
-        self.totals[row] = total
-        return total
-
-    def fill_rows(self, rows: np.ndarray) -> None:
-        """:meth:`fill` every row of ``rows`` in one gather.
-
-        The stock sums (exactly these types: the choice never looks at
-        ``__call__``, so a subclass keeps its own semantics) score the
-        gathered ``(m, len(rows))`` block through their ``batch`` form,
-        which calls ``__call__`` only for the rare rows it cannot
-        certify; every other scoring is called once per row.
-        """
-        scoring, totals = self.scoring, self.totals
-        block = self._columns[:, rows]
-        if type(scoring) in (SumScoring, WeightedSumScoring):
-            filled = scoring.batch(block)
-            np.frombuffer(totals, dtype=np.float64)[rows] = filled
-            return
-        for row, scores in zip(rows.tolist(), block.T.tolist()):
-            totals[row] = scoring(scores)
 
 
 class DatabaseLayout:
@@ -118,12 +59,12 @@ class DatabaseLayout:
 
     The plain-list translation of :meth:`ColumnarDatabase.position_matrix`
     and the score columns (scalar indexing on lists is ~3x faster than
-    NumPy element access), derived once per database and shared by every
-    kernel :class:`repro.columnar.QueryContext` built over it.  Treat
-    every field as read-only: the lists are aliased across all consumers.
+    NumPy element access), derived once per database and shared by the
+    kernels that replay access by access (BPA2, NRA, QC).  Treat every
+    field as read-only: the lists are aliased across all consumers.
     """
 
-    __slots__ = ("ids", "rows_at", "pos_of", "pos1_by_row", "score_at")
+    __slots__ = ("ids", "rows_at", "pos1_by_row", "score_at")
 
     def __init__(self, database: "ColumnarDatabase") -> None:
         position_matrix = database.position_matrix()
@@ -131,14 +72,11 @@ class DatabaseLayout:
         self.ids: list[int] = database.uids_array.tolist()
         #: per list: 0-based position -> row of the item ranked there.
         self.rows_at: list[list[int]] = []
-        #: per list: row -> 0-based position of that item.
-        self.pos_of: list[list[int]] = []
         #: per list: 0-based position -> local score (descending).
         self.score_at: list[list[float]] = []
         for i, columnar_list in enumerate(database.lists):
             ranks = position_matrix[i]
             self.rows_at.append(ranks.argsort().tolist())
-            self.pos_of.append(ranks.tolist())
             self.score_at.append(columnar_list.scores_array.tolist())
         #: row -> its 1-based position in every list (list order).
         self.pos1_by_row: list[list[int]] = (position_matrix.T + 1).tolist()
@@ -155,19 +93,18 @@ class DatabaseLayout:
         Valid only when the patch changed no membership (``database`` has
         exactly ``previous``'s item rows): the row -> id list ``ids`` is
         shared outright, untouched lists keep their per-list structures
-        by reference, and only the lists in ``touched`` re-derive theirs.  ``pos1_by_row`` is cross-list and
-        rebuilt from the (cheap, array-reusing) position matrix.
+        by reference, and only the lists in ``touched`` re-derive theirs.
+        ``pos1_by_row`` is cross-list and rebuilt from the (cheap,
+        array-reusing) position matrix.
         """
         layout = cls.__new__(cls)
         layout.ids = previous.ids
         layout.rows_at = list(previous.rows_at)
-        layout.pos_of = list(previous.pos_of)
         layout.score_at = list(previous.score_at)
         position_matrix = database.position_matrix()
         for i in touched:
             ranks = position_matrix[i]
             layout.rows_at[i] = ranks.argsort().tolist()
-            layout.pos_of[i] = ranks.tolist()
             layout.score_at[i] = database.lists[i].scores_array.tolist()
         layout.pos1_by_row = (position_matrix.T + 1).tolist()
         return layout
@@ -188,6 +125,7 @@ class ColumnarDatabase:
         "_score_matrix",
         "_position_matrix",
         "_layout",
+        "_prefix",
         "_memos",
     )
 
@@ -212,6 +150,7 @@ class ColumnarDatabase:
         self._score_matrix: np.ndarray | None = None
         self._position_matrix: np.ndarray | None = None
         self._layout: DatabaseLayout | None = None
+        self._prefix: FirstSeenPrefix | None = None
         #: scoring key -> :class:`TotalsMemo`, least recently used first
         self._memos: OrderedDict[tuple, TotalsMemo] = OrderedDict()
 
@@ -374,6 +313,17 @@ class ColumnarDatabase:
                     self._layout = DatabaseLayout(self)
         return self._layout
 
+    def first_seen_prefix(self) -> FirstSeenPrefix:
+        """The scoring-independent :class:`FirstSeenPrefix`, created
+        empty on first use and extended by whoever reads deeper (the
+        planner's walk, the TA and BPA kernels).  Every snapshot starts
+        with its own, patched ones included."""
+        if self._prefix is None:
+            with _LAYOUT_LOCK:
+                if self._prefix is None:
+                    self._prefix = FirstSeenPrefix(self)
+        return self._prefix
+
     def totals_memo(self, scoring: ScoringFunction) -> TotalsMemo:
         """The :class:`TotalsMemo` of ``scoring``'s semantics (see
         :func:`repro.scoring.scoring_key`), created empty on first use.
@@ -387,7 +337,7 @@ class ColumnarDatabase:
         with _LAYOUT_LOCK:
             memo = memos.get(key)
             if memo is None:
-                memo = TotalsMemo(scoring, array("d", [_UNFILLED]) * self.n)
+                memo = TotalsMemo(scoring, array("d", [UNFILLED]) * self.n)
                 memos[key] = memo
                 while len(memos) > scoring_capacity(self.n):
                     memos.popitem(last=False)
@@ -395,6 +345,7 @@ class ColumnarDatabase:
                 memos.move_to_end(key)
             if memo._columns is None:
                 memo._columns = self.score_matrix()
+                memo._ids = self.uids_array
         return memo
 
     def carry_memos(
@@ -408,7 +359,7 @@ class ColumnarDatabase:
         for key, memo in memos:
             totals = array("d", memo.totals)
             for row in touched_rows:
-                totals[row] = _UNFILLED
+                totals[row] = UNFILLED
             successor._memos[key] = TotalsMemo(memo.scoring, totals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,30 +3,32 @@
 The reference algorithms (``repro.algorithms.ta``, ``repro.core.bpa*``)
 pay ~1µs of interpreter overhead per metered access: every sorted or
 random access walks accessor → list → dataclass construction.  The
-kernels here execute the *same* access sequence — access for access,
-float for float — against flat columns:
+kernels here give the *same* results — the same ranked top-k, the same
+per-mode access tallies, the same rounds/stop positions and the same
+``extras`` — without the accessors:
 
-* the scoring-independent layout (canonical ordering, the item→position
-  matrix as plain lists) is derived once per snapshot and cached on it
-  (:class:`repro.columnar.database.DatabaseLayout`);
+* TA and BPA do not replay access by access.  Both stop tests depend
+  only on the depth ``p`` of parallel sorted access, so the kernel
+  searches for the stop depth ``p*`` over the snapshot's first-seen
+  prefix (:func:`repro.columnar.walk.stop_depth_search`) and derives
+  the rest: ``p*·m`` sorted and ``p*·m·(m-1)`` random accesses, ``p*``
+  rounds, and the top k of the rows seen by ``p*``;
+* BPA2, NRA and QC replay their access sequences on the snapshot's
+  scalar-indexable layout (:class:`repro.columnar.database.DatabaseLayout`,
+  derived once per snapshot and cached on it), because their state at a
+  round depends on the order of the accesses within it;
 * per-item overall scores come from the snapshot's
-  :class:`repro.columnar.database.TotalsMemo` for the query's scoring
+  :class:`repro.columnar.walk.TotalsMemo` for the query's scoring
   semantics: a kernel reads a row's total there and computes it on first
   touch, so a query pays scoring calls only for the rows it (or an
   earlier query, or the planner) reached — not for all ``n``;
-* a :class:`QueryContext` just binds the two, so building one is O(1)
-  and :func:`repro.exec.run.execute_query`, the one kernel dispatcher,
-  builds one per execution;
-* the per-query replay loop then touches nothing but flat lists,
-  bytearrays and the shared :class:`TopKBuffer`.
+* a :class:`QueryContext` just binds the snapshot and the memo, so
+  building one is O(1) and :func:`repro.exec.run.execute_query`, the one
+  kernel dispatcher, builds one per execution.
 
-Because the stop rules have no side effects and every access of
-TA/BPA/BPA2 is determined by the data, replaying the access sequence on
-the flat columns yields *identical* results: the same ranked top-k,
-the same per-mode access tallies, the same rounds/stop positions and
-the same ``extras``.  This is not assumed — ``tests/differential/``
-proves it against the reference implementations on Hypothesis-generated
-databases, including tie-heavy ones.
+This is not assumed — ``tests/differential/`` proves it against the
+reference implementations on Hypothesis-generated databases, including
+tie-heavy ones.
 
 Overall scores are computed with the *actual* scoring callable over the
 row's local scores (argument order = list order, same floats), so even
@@ -38,7 +40,8 @@ from __future__ import annotations
 import heapq
 
 from repro.algorithms.base import TopKBuffer
-from repro.columnar.database import ColumnarDatabase, TotalsMemo
+from repro.columnar.database import ColumnarDatabase
+from repro.columnar.walk import TotalsMemo, stop_depth_search
 from repro.errors import InvalidQueryError
 from repro.scoring import SUM, ScoringFunction
 from repro.types import AccessTally, Score, ScoredItem, TopKResult
@@ -47,46 +50,20 @@ _INF = float("inf")
 
 
 class QueryContext:
-    """One (database, scoring) pair, bound for a kernel replay.
+    """One (database, scoring) pair, bound for a kernel run.
 
-    Everything a replay reads, as plain Python lists (scalar indexing on
-    lists is ~3x faster than NumPy element access, and the replay loop
-    is scalar by nature): the snapshot's cached layout and its totals
-    memo for the scoring.  Nothing is computed here, so a context costs
-    O(1) once the snapshot's layout exists.
+    The snapshot and its totals memo for the scoring.  Nothing is
+    computed here, so a context costs O(1); the kernels read the
+    snapshot's cached layout or first-seen prefix themselves.
     """
 
-    __slots__ = (
-        "database",
-        "scoring",
-        "m",
-        "n",
-        "ids",
-        "rows_at",
-        "pos_of",
-        "pos1_by_row",
-        "score_at",
-        "memo",
-    )
+    __slots__ = ("database", "scoring", "m", "n", "memo")
 
     def __init__(self, database: ColumnarDatabase, scoring: ScoringFunction) -> None:
         self.database = database
         self.scoring = scoring
         self.m = database.m
         self.n = database.n
-        # The scoring-independent layout is shared (and cached) on the
-        # database — see :class:`repro.columnar.database.DatabaseLayout`.
-        layout = database.layout()
-        #: row -> item id (ascending id order; "row" is the dense index).
-        self.ids: list[int] = layout.ids
-        #: per list: 0-based position -> row of the item ranked there.
-        self.rows_at: list[list[int]] = layout.rows_at
-        #: per list: row -> 0-based position of that item.
-        self.pos_of: list[list[int]] = layout.pos_of
-        #: per list: 0-based position -> local score (descending).
-        self.score_at: list[list[float]] = layout.score_at
-        #: row -> its 1-based position in every list (list order).
-        self.pos1_by_row: list[list[int]] = layout.pos1_by_row
         #: row -> overall score under ``scoring``, NaN until first touch
         #: (``memo.totals``; ``memo.fill(row)`` computes and stores it).
         self.memo: TotalsMemo = database.totals_memo(scoring)
@@ -110,55 +87,42 @@ def _as_context(
     return QueryContext(database, scoring)
 
 
+def _searched(
+    ctx: QueryContext,
+    algorithm: str,
+    depth: int,
+    items: tuple[ScoredItem, ...],
+    extras: dict,
+) -> TopKResult:
+    """TA's or BPA's result from its stop depth."""
+    # The paper's accounting: m sorted accesses per round, each followed
+    # by m - 1 random accesses, repeated even for already-seen items.
+    sorted_count = depth * ctx.m
+    return TopKResult(
+        items=items,
+        tally=AccessTally(sorted=sorted_count, random=sorted_count * (ctx.m - 1)),
+        rounds=depth,
+        stop_position=depth,
+        algorithm=algorithm,
+        extras=extras,
+    )
+
+
 def fast_ta(
     database: ColumnarDatabase | QueryContext,
     k: int,
     scoring: ScoringFunction = SUM,
 ) -> TopKResult:
-    """Exact replay of :class:`ThresholdAlgorithm` (defaults: no memoize,
-    theta = 1) on columnar storage."""
+    """:class:`ThresholdAlgorithm`'s result (defaults: no memoize,
+    theta = 1) on columnar storage: its threshold after ``p`` rounds is
+    the scoring of the local scores at depth ``p``."""
     ctx = _as_context(database, scoring)
-    m, n = ctx.m, ctx.n
-    _require_valid_k(k, n)
-    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
-    totals, fill = ctx.memo.totals, ctx.memo.fill
-
-    buffer = TopKBuffer(k)
-    evaluated = bytearray(n)
-    sorted_count = 0
-    last: list[Score] = [0.0] * m
-    position = 0
-
-    while True:
-        position += 1
-        p = position - 1
-        for i in range(m):
-            row = rows_at[i][p]
-            last[i] = score_at[i][p]
-            sorted_count += 1
-            # TA's paper accounting: m-1 random accesses per sorted
-            # access, repeated even for already-seen items (Lemma 2).
-            if not evaluated[row]:
-                evaluated[row] = 1
-                total = totals[row]
-                if total != total:  # NaN: first touch of this row
-                    total = fill(row)
-                buffer.add(ids[row], total)
-        threshold = scoring(last)
-        if buffer.all_at_least(threshold):
-            break
-        if position >= n:
-            break
-
-    tally = AccessTally(sorted=sorted_count, random=sorted_count * (m - 1))
-    return TopKResult(
-        items=buffer.ranked(),
-        tally=tally,
-        rounds=position,
-        stop_position=position,
-        algorithm="ta",
-        extras={"threshold": scoring(last)},
+    _require_valid_k(k, ctx.n)
+    prefix = ctx.database.first_seen_prefix()
+    depth, threshold, items = stop_depth_search(
+        prefix, ctx.memo, k, prefix.threshold_scores
     )
+    return _searched(ctx, "ta", depth, items, {"threshold": threshold})
 
 
 def fast_bpa(
@@ -166,63 +130,21 @@ def fast_bpa(
     k: int,
     scoring: ScoringFunction = SUM,
 ) -> TopKResult:
-    """Exact replay of :class:`BestPositionAlgorithm` (defaults: no
-    memoize, theta = 1; tracker choice does not affect results)."""
+    """:class:`BestPositionAlgorithm`'s result (defaults: no memoize,
+    theta = 1; tracker choice does not affect results): its lambda after
+    ``p`` rounds is the scoring of the local scores at the best
+    positions, which the first-seen prefix gives for every ``p``."""
     ctx = _as_context(database, scoring)
-    m, n = ctx.m, ctx.n
-    _require_valid_k(k, n)
-    rows_at, pos_of, score_at = ctx.rows_at, ctx.pos_of, ctx.score_at
-    totals, fill, ids = ctx.memo.totals, ctx.memo.fill, ctx.ids
-
-    buffer = TopKBuffer(k)
-    evaluated = bytearray(n)
-    # seen[i] is 1-based with a zero sentinel at n+1 so the best-position
-    # advance below can never run off the end.
-    seen = [bytearray(n + 2) for _ in range(m)]
-    bp = [0] * m
-    others = [[j for j in range(m) if j != i] for i in range(m)]
-    sorted_count = 0
-    position = 0
-
-    while True:
-        position += 1
-        for i in range(m):
-            row = rows_at[i][position - 1]
-            sorted_count += 1
-            seen_i = seen[i]
-            seen_i[position] = 1
-            b = bp[i]
-            while seen_i[b + 1]:
-                b += 1
-            bp[i] = b
-            # m-1 random accesses whether or not the item is new (the
-            # paper's accounting); each reveals/marks a position.
-            for j in others[i]:
-                seen_j = seen[j]
-                seen_j[pos_of[j][row] + 1] = 1
-                b = bp[j]
-                while seen_j[b + 1]:
-                    b += 1
-                bp[j] = b
-            if not evaluated[row]:
-                evaluated[row] = 1
-                total = totals[row]
-                if total != total:  # NaN: first touch of this row
-                    total = fill(row)
-                buffer.add(ids[row], total)
-        lam = scoring([score_at[i][bp[i] - 1] for i in range(m)])
-        if buffer.all_at_least(lam) or position >= n:
-            tally = AccessTally(
-                sorted=sorted_count, random=sorted_count * (m - 1)
-            )
-            return TopKResult(
-                items=buffer.ranked(),
-                tally=tally,
-                rounds=position,
-                stop_position=position,
-                algorithm="bpa",
-                extras={"lambda": lam, "best_positions": tuple(bp)},
-            )
+    _require_valid_k(k, ctx.n)
+    prefix = ctx.database.first_seen_prefix()
+    depth, lam, items = stop_depth_search(prefix, ctx.memo, k, prefix.lambda_scores)
+    return _searched(
+        ctx,
+        "bpa",
+        depth,
+        items,
+        {"lambda": lam, "best_positions": prefix.best_positions(depth)},
+    )
 
 
 def fast_bpa2(
@@ -244,8 +166,9 @@ def fast_bpa2(
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
-    pos1_by_row = ctx.pos1_by_row
+    layout = ctx.database.layout()
+    rows_at, score_at, ids = layout.rows_at, layout.score_at, layout.ids
+    pos1_by_row = layout.pos1_by_row
     totals, fill = ctx.memo.totals, ctx.memo.fill
     heappush, heapreplace = heapq.heappush, heapq.heapreplace
 
@@ -372,7 +295,8 @@ def fast_nra(
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
+    layout = ctx.database.layout()
+    rows_at, score_at, ids = layout.rows_at, layout.score_at, layout.ids
 
     #: row -> local scores seen so far, 0.0 where unknown (the reference's
     #: ``worst_vector`` layout, kept in place between rounds).
@@ -469,7 +393,8 @@ def fast_quick_combine(
     ctx = _as_context(database, scoring)
     m, n = ctx.m, ctx.n
     _require_valid_k(k, n)
-    rows_at, score_at, ids = ctx.rows_at, ctx.score_at, ctx.ids
+    layout = ctx.database.layout()
+    rows_at, score_at, ids = layout.rows_at, layout.score_at, layout.ids
     totals, fill = ctx.memo.totals, ctx.memo.fill
     lookahead = 3  # QuickCombine's default; other values gate the kernel off
 

@@ -31,10 +31,13 @@ the thresholds, not a simulation.  (It is a lower bound — TA's running
 top-k can lag the true top-k — which is fine for *ranking* candidate
 algorithms that all share the bias.)  The k-th best overall score comes
 from a certified walk down the lists (:class:`ListStatistics`), not a
-sort of all ``n`` totals; the rows it scores land in the snapshot's
-totals memo (:meth:`repro.columnar.ColumnarDatabase.totals_memo`), where
-the kernels find them, so a scoring pays for roughly the rows above its
-stop depth, once.  Specs that force an algorithm skip the estimate
+sort of all ``n`` totals.  The walk reads the snapshot's first-seen
+prefix (:meth:`repro.columnar.ColumnarDatabase.first_seen_prefix`), the
+same one the TA and BPA kernels search for their stop depths, and the
+rows it scores land in the snapshot's totals memo
+(:meth:`repro.columnar.ColumnarDatabase.totals_memo`), where the kernels
+find them, so a scoring pays for roughly the rows above its stop depth,
+once.  Specs that force an algorithm skip the estimate
 unless adaptive feedback or a network-transport decision reads it.
 Statistics and memoized plans are kept for at most
 :func:`repro.columnar.scoring_capacity` entries each (oldest out), as
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.algorithms.base import get_algorithm
 from repro.analysis.model import expected_best_position_advance
-from repro.columnar import ColumnarDatabase, scoring_capacity
+from repro.columnar import ColumnarDatabase, scoring_capacity, step_end
 from repro.errors import InvalidQueryError
 from repro.exec.keys import QuerySpec, freeze_value, scoring_key
 from repro.scoring import SUM, ScoringFunction
@@ -284,26 +287,27 @@ class ListStatistics:
     stop estimate.  Built once per scoring function and reused by every
     plan.
 
-    :meth:`kth_total` walks the lists top-down over the NumPy columns,
-    scoring each newly reached row through the snapshot's totals memo,
-    and stops at the first walked depth ``D`` where the k-th best total
-    seen is at least :meth:`threshold_at` ``(D)`` — an unseen row ranks
-    below ``D`` in every list, so by monotonicity it scores at most that
-    threshold, and the k-th best seen is the exact k-th best.  The walk
-    is resumable: one walk serves every ``k``, a larger ``k`` resumes it
-    deeper (steps grow with the depth), and an already-certified ``k``
-    is one index into the sorted walked totals.
+    :meth:`kth_total` walks the lists top-down through the snapshot's
+    first-seen prefix (:meth:`ColumnarDatabase.first_seen_prefix`, the
+    same walk the TA and BPA kernels search), scoring each step's newly
+    reached rows through the snapshot's totals memo, and stops at the
+    first walked depth ``D`` where the k-th best total seen is at least
+    :meth:`threshold_at` ``(D)`` — an unseen row ranks below ``D`` in
+    every list, so by monotonicity it scores at most that threshold, and
+    the k-th best seen is the exact k-th best.  The walk is resumable:
+    one walk serves every ``k``, a larger ``k`` resumes it deeper (steps
+    grow with the depth, :func:`repro.columnar.step_end`), and an
+    already-certified ``k`` is one index into the sorted walked totals.
     """
 
     __slots__ = (
         "_scoring",
         "_n",
         "_m",
-        "_lists",
+        "_prefix",
         "_score_arrays",
         "_memo",
         "_totals",
-        "_seen",
         "_depth",
         "_walked",
         "_certified",
@@ -316,13 +320,11 @@ class ListStatistics:
         self._scoring = scoring
         self._n = database.n
         self._m = database.m
-        self._lists = database.lists
+        self._prefix = database.first_seen_prefix()
         self._score_arrays = [lst.scores_array for lst in database.lists]
         self._memo = database.totals_memo(scoring)
         #: the memo's totals, in place (NaN = not scored yet)
         self._totals = np.frombuffer(self._memo.totals, dtype=np.float64)
-        #: rows the walk has reached
-        self._seen = np.zeros(self._n, dtype=bool)
         #: positions walked in every list
         self._depth = 0
         #: totals of the reached rows, ascending
@@ -354,23 +356,13 @@ class ListStatistics:
     def _walk(self) -> None:
         """Walk one step deeper and re-certify."""
         depth = self._depth
-        end = min(self._n, depth + max(32, depth // 2))
-        seen = self._seen
-        reached = []
-        for lst in self._lists:
-            rows = lst.rows_of(lst.items_array[depth:end])
-            rows = rows[~seen[rows]]  # distinct within one list
-            seen[rows] = True
-            reached.append(rows)
-        rows = np.concatenate(reached)
+        end = step_end(depth, self._n)
+        prefix = self._prefix
+        rows = prefix.rows[prefix.through(depth) : prefix.through(end)]
         totals = self._totals[rows]
         unscored = np.isnan(totals)
         if unscored.any():
-            try:
-                self._memo.fill_rows(rows[unscored])
-            except BaseException:
-                seen[rows] = False  # a failed step leaves the walk as it was
-                raise
+            self._memo.fill_rows(rows[unscored])
             totals = self._totals[rows]
         walked = np.concatenate((self._walked, totals))
         walked.sort()

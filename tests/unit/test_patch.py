@@ -49,6 +49,19 @@ def assert_snapshots_identical(
         assert ours.rank_by_row.tobytes() == theirs.rank_by_row.tobytes()
 
 
+def prefix_state(database: ColumnarDatabase, depth: int) -> tuple:
+    """The first-seen prefix extended to ``depth``, as plain lists."""
+    prefix = database.first_seen_prefix()
+    count = prefix.through(depth)
+    return (
+        prefix.rows[:count].tolist(),
+        prefix.depths[:count].tolist(),
+        prefix.threshold_scores(depth)[:depth].tolist(),
+        prefix.lambda_scores(depth)[:depth].tolist(),
+        [prefix.best_positions(p) for p in range(1, depth + 1)],
+    )
+
+
 def assert_layouts_identical(
     patched: ColumnarDatabase, rebuilt: ColumnarDatabase
 ) -> None:
@@ -56,7 +69,7 @@ def assert_layouts_identical(
     ours, theirs = patched.layout(), rebuilt.layout()
     assert ours.ids == theirs.ids
     assert ours.rows_at == theirs.rows_at
-    assert ours.pos_of == theirs.pos_of
+    assert prefix_state(patched, patched.n) == prefix_state(rebuilt, rebuilt.n)
     assert ours.pos1_by_row == theirs.pos1_by_row
     assert ours.score_at == theirs.score_at
 
