@@ -19,9 +19,10 @@ those arguments measurable:
   round plans of the drivers in :mod:`repro.exec.drivers` as per-entry,
   batched or pipelined messages to the owners;
 * :class:`SocketCluster` / :class:`SocketNetwork` — the same owner
-  daemons in real OS processes behind length-prefixed TCP framing
-  (:mod:`repro.distributed.socket_transport`), with ``.bpsn`` warm
-  starts;
+  daemons in real OS processes behind length-prefixed binary TCP frames
+  (:mod:`repro.distributed.socket_transport`, codec in
+  :mod:`repro.distributed.wire`), with ``.bpsn`` warm starts and a
+  deadline on every owner connection;
 * coordinator-side drivers: :class:`DistributedTA`,
   :class:`DistributedBPA`, :class:`DistributedBPA2` (thin transport
   wrappers over the unified core) and the related-work baseline

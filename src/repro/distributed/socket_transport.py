@@ -16,16 +16,31 @@ over real sockets unchanged.
 Wire format
 -----------
 One frame per message: a 4-byte big-endian length prefix followed by a
-UTF-8 JSON body.  Requests are ``{"kind": ..., "payload": {...}}``;
-responses are the owner's response dict verbatim (owner-side errors
-travel as ``{"__error__": "..."}`` and re-raise client-side as
-:class:`~repro.errors.ProtocolError`).  Byte accounting in
-:class:`NetworkStats` uses the *actual* frame sizes, prefix included.
-Requests to an owner hosting several lists carry a ``"list"`` routing
-field, and a round's ops for co-hosted lists coalesce into one
-``multi`` frame per owner (see ``NetworkBackend.execute_plan``) — at
-``owners < m`` that is the transport's frame reduction, measured by
-``repro-topk cluster bench`` into ``reports/cluster_speedup.json``.
+binary body (:mod:`repro.distributed.wire`): a version byte, then per
+op a fixed ``struct`` header (kind code, ``list`` field, counts, and
+flags for ``exhausted``, positions and ``bp_score``) followed by typed
+arrays, ids and positions as little-endian int64 and scores as IEEE-754
+float64.  Every reply section names its kind, so the decoder rebuilds
+the owner's response dict without request state; owner-side errors
+travel as a UTF-8 error section and re-raise client-side as
+:class:`~repro.errors.ProtocolError`, and only the metrics reply keeps
+a JSON body.  Byte accounting in :class:`NetworkStats` uses the
+*actual* frame sizes, prefix included.  Requests to an owner hosting
+several lists carry a ``list`` routing field, and a round's ops for
+co-hosted lists coalesce into one ``multi`` frame per owner (see
+``NetworkBackend.execute_plan``) — at ``owners < m`` that is the
+transport's frame reduction, measured by ``repro-topk cluster bench``
+into ``reports/cluster_speedup.json``.  :func:`send_frame` /
+:func:`recv_frame` frame JSON for the watch push protocol, a separate
+layer.
+
+Deadlines
+---------
+The ``timeout`` a connection is opened with bounds its connect and
+every later send and read.  A timeout, an end of stream or a framing
+error closes that owner's socket (its stream is no longer
+frame-aligned) and raises :class:`~repro.errors.OwnerUnavailableError`
+naming the owner; later requests to it fail fast with the same error.
 
 Pipelining
 ----------
@@ -34,7 +49,9 @@ Each owner connection is FIFO, and a round plan never carries two ops
 for the same list, so responses match requests by order — the batched
 protocol's sequential round trips collapse into one overlapped wave,
 which is where the pipelined protocol's wall-clock win comes from
-(``repro dist-bench`` measures it at identical message counts).
+(``repro dist-bench`` measures it at identical message counts).  A wave
+reads every reply before it raises its first error, so one failed op
+leaves no other owner's connection a reply behind.
 
 Warm starts
 -----------
@@ -49,7 +66,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import socket
-import struct
 from typing import Sequence
 
 import numpy as np
@@ -57,21 +73,18 @@ import numpy as np
 from repro.distributed.daemon import DEFAULT_LATENCY_SAMPLE_K, OwnerDaemon
 from repro.distributed.network import NetworkStats
 from repro.distributed.placement import ClusterPlacement
-from repro.errors import ProtocolError
-
-_LENGTH = struct.Struct(">I")
-
-#: Largest frame body either side will send or accept.  The protocol's
-#: biggest legitimate payloads (a batched round of lookups, a pushed
-#: result delta) are a few kilobytes; anything near this limit is a
-#: corrupt length prefix or a hostile peer, and honouring it would make
-#: ``_recv_exact`` buffer unboundedly.  Oversized frames raise
-#: :class:`~repro.errors.ProtocolError` *before* any body byte is read,
-#: so the reader can drop the connection without desynchronising.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: Request kind that asks an owner process to exit its serve loop.
-SHUTDOWN = "__shutdown__"
+from repro.distributed.wire import (
+    LENGTH,
+    MAX_FRAME_BYTES,
+    SHUTDOWN,
+    decode_reply,
+    decode_request,
+    encode_error,
+    encode_reply,
+    encode_request,
+    recv_body,
+)
+from repro.errors import OwnerUnavailableError, ProtocolError
 
 #: Control-plane request kinds excluded from wire accounting: they are
 #: remote-transport bookkeeping (end-of-query state reads, per-query
@@ -101,7 +114,7 @@ def send_frame(
         raise ProtocolError(
             f"refusing to send {len(body)}-byte frame (limit {max_bytes})"
         )
-    frame = _LENGTH.pack(len(body)) + body
+    frame = LENGTH.pack(len(body)) + body
     sock.sendall(frame)
     return len(frame)
 
@@ -109,22 +122,16 @@ def send_frame(
 def recv_frame(
     sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES
 ) -> tuple[dict | None, int]:
-    """Read one frame; ``(None, 0)`` on a clean EOF before any byte.
+    """Read one JSON frame; ``(None, 0)`` on a clean EOF before any byte.
 
     Raises :class:`~repro.errors.ProtocolError` on an oversized length
     prefix or an undecodable body, and :class:`ConnectionError` on a
     frame truncated mid-body — in either case the stream can no longer
     be trusted to be frame-aligned and the caller must close it.
     """
-    header = _recv_exact(sock, _LENGTH.size, allow_eof=True)
-    if header is None:
+    body = recv_body(sock, max_bytes=max_bytes)
+    if body is None:
         return None, 0
-    (length,) = _LENGTH.unpack(header)
-    if length > max_bytes:
-        raise ProtocolError(
-            f"peer announced {length}-byte frame (limit {max_bytes})"
-        )
-    body = _recv_exact(sock, length)
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -133,23 +140,7 @@ def recv_frame(
         raise ProtocolError(
             f"frame body must be a JSON object, got {type(message).__name__}"
         )
-    return message, _LENGTH.size + length
-
-
-def _recv_exact(
-    sock: socket.socket, count: int, *, allow_eof: bool = False
-) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == count:
-                return None
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return message, LENGTH.size + len(body)
 
 
 def _build_daemon(spec: dict) -> OwnerDaemon:
@@ -190,24 +181,10 @@ def _owner_server_main(spec: dict, channel) -> None:
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with client:
                 try:
-                    while True:
-                        request, _size = recv_frame(client)
-                        if request is None:
-                            break  # client went away; await a reconnect
-                        if request.get("kind") == SHUTDOWN:
-                            send_frame(client, {})
-                            return
-                        try:
-                            response = daemon.handle(
-                                request["kind"], request.get("payload") or {}
-                            )
-                        except Exception as exc:  # ship, don't kill owner
-                            response = {
-                                "__error__": f"{type(exc).__name__}: {exc}"
-                            }
-                        send_frame(client, response)
+                    if _serve_client(daemon, client):
+                        return
                 except (ProtocolError, ConnectionError, OSError):
-                    # Oversized/truncated/garbled frame: the stream is no
+                    # Oversized or truncated frame: the stream is no
                     # longer frame-aligned.  Drop this client and keep
                     # serving — a hostile or crashed client must not take
                     # the owner (and every other client's lists) with it.
@@ -216,24 +193,45 @@ def _owner_server_main(spec: dict, channel) -> None:
         server.close()
 
 
+def _serve_client(daemon: OwnerDaemon, client: socket.socket) -> bool:
+    """Answer one client's frames until it leaves; ``True`` on shutdown.
+
+    A body that does not decode, and any failure serving it, is
+    answered with an error frame: the frame was read whole, so the
+    stream stays aligned and the client keeps its connection.
+    """
+    while True:
+        body = recv_body(client)
+        if body is None:
+            return False  # client went away; await a reconnect
+        try:
+            kind, payload = decode_request(body)
+            response = {} if kind == SHUTDOWN else daemon.handle(kind, payload)
+            reply = encode_reply(kind, payload, response)
+        except Exception as exc:  # ship, don't kill owner
+            kind, reply = None, encode_error(f"{type(exc).__name__}: {exc}")
+        client.sendall(reply)
+        if kind == SHUTDOWN:
+            return True
+
+
 def connect_ports(
     ports: Sequence[int], *, timeout: float = 10.0
 ) -> "SocketNetwork":
     """Open one TCP connection per owner port and return the fabric.
 
     Addresses are ``owner/<index>`` in port order.  ``timeout`` bounds
-    the *connect* only; established connections block indefinitely (a
-    slow owner-side op must not desynchronize the length-prefixed
-    framing mid-frame).  Works from any process that knows the ports —
-    ``repro-topk cluster serve`` publishes them in its spec file so
-    ``serve-workload --cluster-spec`` can hammer a cluster it did not
-    spawn.
+    the connect and every later send and read on the connection: an
+    owner that does not answer in time is dropped with
+    :class:`~repro.errors.OwnerUnavailableError`.  Works from any
+    process that knows the ports — ``repro-topk cluster serve``
+    publishes them in its spec file so ``serve-workload
+    --cluster-spec`` can hammer a cluster it did not spawn.
     """
     sockets: dict[str, socket.socket] = {}
     try:
         for index, port in enumerate(ports):
             sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-            sock.settimeout(None)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sockets[f"owner/{index}"] = sock
     except BaseException:
@@ -395,7 +393,8 @@ class SocketCluster:
             raise
 
     def connect(self, *, timeout: float = 10.0) -> "SocketNetwork":
-        """Open one TCP connection per owner and return the fabric."""
+        """Open one TCP connection per owner and return the fabric;
+        ``timeout`` bounds every send and read (see :func:`connect_ports`)."""
         return connect_ports(self.ports, timeout=timeout)
 
     def close(self, *, timeout: float = 5.0) -> None:
@@ -417,9 +416,9 @@ class SocketCluster:
                 with socket.create_connection(
                     ("127.0.0.1", port), timeout=2.0
                 ) as sock:
-                    send_frame(sock, {"kind": SHUTDOWN})
-                    recv_frame(sock)
-            except OSError:
+                    sock.sendall(encode_request(SHUTDOWN, None))
+                    recv_body(sock)
+            except (OSError, ProtocolError):
                 pass  # unreachable owner: the escalation below reaps it
         for process in processes:
             process.join(timeout=timeout)
@@ -445,30 +444,58 @@ class SocketNetwork:
     Satisfies the same interface as
     :class:`~repro.distributed.network.SimulatedNetwork` (``request`` /
     ``request_many`` / ``stats`` / ``reset_stats``), with byte counters
-    measuring the actual frames on the wire.
+    measuring the actual frames on the wire.  An owner whose connection
+    failed is dropped: its requests raise
+    :class:`~repro.errors.OwnerUnavailableError` from then on.
     """
 
     def __init__(self, sockets: dict[str, socket.socket]) -> None:
         self.stats = NetworkStats()
         self._sockets = sockets
+        #: why each dropped owner is unavailable, by address
+        self._down: dict[str, str] = {}
 
     @property
     def addresses(self) -> tuple[str, ...]:
         """The owner addresses this fabric can reach."""
         return tuple(self._sockets)
 
-    def _send(self, address: str, kind: str, payload: dict | None) -> int:
+    def _socket(self, address: str) -> socket.socket:
         sock = self._sockets.get(address)
         if sock is None:
+            if address in self._down:
+                raise OwnerUnavailableError(address, self._down[address])
             raise KeyError(f"no owner at address {address}")
-        return send_frame(sock, {"kind": kind, "payload": payload or {}})
+        return sock
+
+    def _drop(self, address: str, exc: Exception) -> OwnerUnavailableError:
+        """Close an owner's connection after ``exc`` left its stream
+        unaligned; the returned error is raised for it from now on."""
+        self._sockets.pop(address).close()
+        reason = str(exc) or type(exc).__name__
+        self._down[address] = reason
+        return OwnerUnavailableError(address, reason)
+
+    def _send(self, address: str, frame: bytes) -> None:
+        sock = self._socket(address)
+        try:
+            sock.sendall(frame)
+        except OSError as exc:
+            raise self._drop(address, exc) from exc
 
     def _receive(self, address: str, kind: str, sent: int) -> dict:
-        response, size = recv_frame(self._sockets[address])
-        if response is None:
-            raise ConnectionError(f"owner at {address} closed the connection")
+        sock = self._socket(address)
+        try:
+            body = recv_body(sock)
+            if body is None:
+                raise ConnectionError("connection closed")
+            response = decode_reply(body)
+        except (OSError, ProtocolError) as exc:
+            raise self._drop(address, exc) from exc
         if kind not in CONTROL_KINDS:
-            self.stats.record(kind, request_bytes=sent, response_bytes=size)
+            self.stats.record(
+                kind, request_bytes=sent, response_bytes=LENGTH.size + len(body)
+            )
         error = response.pop("__error__", None)
         if error is not None:
             raise ProtocolError(f"owner at {address} failed: {error}")
@@ -478,8 +505,9 @@ class SocketNetwork:
 
     def request(self, address: str, kind: str, payload: dict | None = None) -> dict:
         """One blocking request/response round trip."""
-        sent = self._send(address, kind, payload)
-        return self._receive(address, kind, sent)
+        frame = encode_request(kind, payload)
+        self._send(address, frame)
+        return self._receive(address, kind, len(frame))
 
     def request_many(
         self, requests: Sequence[tuple[str, str, dict | None]]
@@ -488,16 +516,31 @@ class SocketNetwork:
 
         Requests to distinct owners are concurrently in flight; multiple
         requests to one owner stay FIFO on its connection, so responses
-        always match requests by order.
+        always match requests by order.  Every frame is encoded and
+        every address resolved before the first write; once frames are
+        out, every reply is read before the wave's first error is
+        raised, so a failed op leaves no connection out of step.
         """
-        sizes = [
-            self._send(address, kind, payload)
-            for address, kind, payload in requests
-        ]
-        return [
-            self._receive(address, kind, sent)
-            for (address, kind, _payload), sent in zip(requests, sizes)
-        ]
+        frames = [encode_request(kind, payload) for _address, kind, payload in requests]
+        for address, _kind, _payload in requests:
+            self._socket(address)
+        outcomes: list = []
+        for (address, _kind, _payload), frame in zip(requests, frames):
+            try:
+                self._send(address, frame)
+                outcomes.append(None)
+            except OwnerUnavailableError as exc:
+                outcomes.append(exc)
+        for index, (address, kind, _payload) in enumerate(requests):
+            if outcomes[index] is None:
+                try:
+                    outcomes[index] = self._receive(address, kind, len(frames[index]))
+                except (OwnerUnavailableError, ProtocolError) as exc:
+                    outcomes[index] = exc
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes
 
     def reset_stats(self) -> None:
         """Zero all counters (e.g. between queries)."""

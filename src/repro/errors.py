@@ -65,6 +65,20 @@ class ProtocolError(DistributedError):
     """A node received a message it cannot handle in its current state."""
 
 
+class OwnerUnavailableError(DistributedError, ConnectionError):
+    """A remote list owner stopped answering within its deadline.
+
+    Raised on a timeout, an end of stream or a framing error on an
+    owner's connection; ``address`` names the owner.  The connection is
+    closed at the first failure (its stream is no longer frame-aligned),
+    and later requests to the same owner fail fast with this error.
+    """
+
+    def __init__(self, address: str, reason: str) -> None:
+        super().__init__(f"owner at {address} is unavailable: {reason}")
+        self.address = address
+
+
 class ServiceError(ReproError):
     """A failure inside the query-service layer."""
 
