@@ -83,6 +83,20 @@ class ServiceError(ReproError):
     """A failure inside the query-service layer."""
 
 
+class WatchServerUnavailableError(ServiceError, ConnectionError):
+    """A standing-query server stopped answering within its deadline.
+
+    Raised by :class:`repro.watch.WatchClient` on a timeout, an end of
+    stream or a framing error; ``address`` names the server.  The client
+    closes its socket at the first failure (its stream is no longer
+    frame-aligned), and later calls fail fast with this error.
+    """
+
+    def __init__(self, address: str, reason: str) -> None:
+        super().__init__(f"watch server at {address} is unavailable: {reason}")
+        self.address = address
+
+
 class ShardMergeError(ServiceError):
     """The shard-merge exactness certificate was violated.
 

@@ -2,13 +2,12 @@
 
 :class:`QuerySpec` is the one query description every layer passes
 around: the batch runner, the service and its planner, workloads and
-the standing-query server.  Both the service cache and the execution
-core need to answer "would the engine do identical work for these two
-queries?" — same algorithm, same (over)fetched ``k``, same scoring
-semantics, same algorithm options.  The helpers below canonicalize
-those dimensions; they live in the execution core (below
+the standing-query server.  The service cache, the planner's memo and
+the execution core all need one notion of query identity — algorithm,
+``k``, scoring semantics, algorithm options.  The helpers below
+canonicalize those dimensions; they live in the execution core (below
 :mod:`repro.service`) so the planner, the result cache and the
-snapshot's per-scoring totals memo share one notion of query identity.
+snapshot's per-scoring totals memo share them.
 :func:`scoring_key` itself lives in :mod:`repro.scoring` (the columnar
 storage below this package keys its memo by it) and is re-exported
 here.
@@ -60,7 +59,13 @@ def normalized_query_key(
     scoring: ScoringFunction,
     options: Mapping[str, object] = (),
 ) -> tuple:
-    """The canonical cache key for one planned query."""
+    """The canonical result-cache key for one query *request*.
+
+    ``algorithm`` is the requested name (``"auto"`` stays ``"auto"``)
+    and ``k`` the ``k_fetch`` every plan of the request executes
+    (:meth:`repro.service.QueryPlanner.fetch_k`), so the key is known
+    before — and without — planning.
+    """
     return (
         algorithm,
         k,

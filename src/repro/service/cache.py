@@ -1,12 +1,16 @@
-"""Delta-aware, epoch-indexed LRU result cache keyed by query specs.
+"""Delta-aware, epoch-indexed LRU result cache keyed by query requests.
 
-Two queries should share a cache entry exactly when the engine would do
-identical work for them: same algorithm, same (over)fetched ``k``, same
-scoring semantics, same algorithm options.  :func:`normalized_query_key`
-canonicalizes those four dimensions; notably, scoring *instances* are
-keyed by ``(type, name, repr)`` so two ``SumScoring()`` objects share an
-entry while a user lambda (whose repr embeds its id) never falsely
-collides with another.
+Two queries share a cache entry exactly when they make the same
+*request*: same requested algorithm (``"auto"`` included), same fetched
+``k`` (the planner's power-of-two bucket,
+:meth:`repro.service.QueryPlanner.fetch_k`), same scoring semantics,
+same algorithm options.  The key is known before any planning, so a
+reuse never plans; the entry keeps the plans of the execution that
+computed it (:meth:`ResultCache.put`'s ``plans``), and a reuse reports
+those.  :func:`normalized_query_key` canonicalizes the four dimensions;
+notably, scoring *instances* are keyed by ``(type, name, repr)`` so two
+``SumScoring()`` objects share an entry while a user lambda (whose repr
+embeds its id) never falsely collides with another.
 
 **Invalidation.**  The service bumps its *epoch* on every mutation of
 the underlying lists; nothing scans the cache on write, so a mutation
@@ -124,6 +128,9 @@ class CacheLookup:
 
     value: object | None
     outcome: str  #: one of :data:`CACHE_OUTCOMES`
+    #: what :meth:`ResultCache.put` stored beside the served value
+    #: (``None`` on a miss)
+    plans: object | None = None
 
 
 class ResultCache:
@@ -170,8 +177,10 @@ class ResultCache:
         if patch_limit < 0:
             raise ValueError(f"patch_limit must be >= 0, got {patch_limit}")
         self._maxsize = maxsize
-        #: key -> (epoch, value); insertion order is recency order.
-        self._entries: OrderedDict[tuple, tuple[int, object]] = OrderedDict()
+        #: key -> (epoch, value, plans); insertion order is recency order.
+        self._entries: OrderedDict[tuple, tuple[int, object, object]] = (
+            OrderedDict()
+        )
         #: epoch -> keys cached under it (kept exactly in sync with
         #: ``_entries`` so expiry never scans the whole table).
         self._by_epoch: dict[int, set[tuple]] = {}
@@ -278,11 +287,11 @@ class ResultCache:
         if entry is None:
             self.stats.misses += 1
             return CacheLookup(None, "miss")
-        entry_epoch, value = entry
+        entry_epoch, value, plans = entry
         if entry_epoch == epoch:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return CacheLookup(value, "hit")
+            return CacheLookup(value, "hit", plans)
         if entry_epoch > epoch:
             # A lookup from *behind* the entry (e.g. a deferred-snapshot
             # query) cannot use it, but the entry itself is still the
@@ -296,17 +305,17 @@ class ResultCache:
         if outcome == "revalidated":
             self._index_discard(key, entry_epoch)
             self._index_add(key, epoch)
-            self._entries[key] = (epoch, value)
+            self._entries[key] = (epoch, value, plans)
             self._entries.move_to_end(key)
             self.stats.revalidated += 1
-            return CacheLookup(value, "revalidated")
+            return CacheLookup(value, "revalidated", plans)
         if outcome == "patched":
             self._index_discard(key, entry_epoch)
             self._index_add(key, epoch)
-            self._entries[key] = (epoch, served)
+            self._entries[key] = (epoch, served, plans)
             self._entries.move_to_end(key)
             self.stats.patched += 1
-            return CacheLookup(served, "patched")
+            return CacheLookup(served, "patched", plans)
         # The entry written under an older epoch could not be proven
         # current — drop it on sight, as whole-epoch expiry always did.
         self._drop(key, entry_epoch)
@@ -314,17 +323,24 @@ class ResultCache:
         self.stats.misses += 1
         return CacheLookup(None, "miss")
 
-    def put(self, key: tuple, value: object, epoch: int) -> None:
-        """Insert (or refresh) an entry under the given epoch."""
+    def put(
+        self, key: tuple, value: object, epoch: int, plans: object = None
+    ) -> None:
+        """Insert (or refresh) an entry under the given epoch.
+
+        ``plans`` rides along with the value, unread by the cache: every
+        reuse of the entry (hit, revalidated or patched) hands it back as
+        :attr:`CacheLookup.plans`.
+        """
         previous = self._entries.get(key)
         if previous is not None:
             self._index_discard(key, previous[0])
-        self._entries[key] = (epoch, value)
+        self._entries[key] = (epoch, value, plans)
         self._entries.move_to_end(key)
         self._index_add(key, epoch)
         while len(self._entries) > self._maxsize:
-            evicted_key, (evicted_epoch, _) = self._entries.popitem(last=False)
-            self._index_discard(evicted_key, evicted_epoch)
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self._index_discard(evicted_key, evicted[0])
             self.stats.evictions += 1
 
     def clear(self) -> None:

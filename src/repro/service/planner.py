@@ -447,8 +447,9 @@ class QueryPlanner:
         self._capacity = scoring_capacity(database.n)
         self._statistics: dict[tuple, ListStatistics] = {}
         #: Plans are deterministic per planner, so memoize by normalized
-        #: spec — a cache *hit* in the service must not re-pay the
-        #: stop-position estimation on its hot path.  With feedback
+        #: spec — a cache-off service, or a repeated miss, must not
+        #: re-pay the stop-position estimation (cache reuses never plan:
+        #: their entry keeps the plan that computed it).  With feedback
         #: attached, each memo entry carries the feedback generation it
         #: was computed under and is recomputed once evidence moves.
         self._plans: dict[tuple, tuple[PlanDecision, int]] = {}
@@ -505,6 +506,25 @@ class QueryPlanner:
         bucket = 1 << (k - 1).bit_length() if k > 0 else 1
         bucket = min(bucket, k * self._policy.max_overfetch)
         return min(bucket, self._database.n)
+
+    def fetch_k(self, spec: QuerySpec, *, cache_enabled: bool) -> int:
+        """The ``k_fetch`` :meth:`plan` gives ``spec``, in O(1).
+
+        ``spec.k`` clamped to ``n``, then bucketed (:meth:`bucketed_k`)
+        — except when the plan runs NRA (``"nra"`` requested, or any
+        request under a no-random-access policy): NRA ranks by
+        lower-bound scores, so only its full returned set is exact and
+        a ``k_fetch`` prefix would NOT be the top-``k_requested``.  It
+        fetches exactly what was asked.  :meth:`plan` takes its
+        ``k_fetch`` from here, so the service can key its result cache
+        by the request without planning.
+        """
+        if spec.k < 1:
+            raise InvalidQueryError(f"k must be >= 1, got {spec.k}")
+        k = min(spec.k, self._database.n)
+        if spec.algorithm == "nra" or not self._policy.allow_random:
+            return k
+        return self.bucketed_k(k, cache_enabled=cache_enabled)
 
     def predicted_tallies(
         self, k: int, scoring: ScoringFunction
@@ -718,7 +738,7 @@ class QueryPlanner:
         memoized = self._plans.get(memo_key)
         if memoized is not None and memoized[1] == generation:
             return memoized[0]
-        k_fetch = self.bucketed_k(k_requested, cache_enabled=cache_enabled)
+        k_fetch = self.fetch_k(spec, cache_enabled=cache_enabled)
         # The stop-depth estimate is the one per-scoring O(depth) cost of
         # planning; a forced local plan never reads it.
         costs: dict[str, float] = {}
@@ -773,12 +793,6 @@ class QueryPlanner:
                 f"min predicted cost among {'/'.join(AUTO_CANDIDATES)} "
                 f"({costs[algorithm]:,.0f})"
             )
-
-        if algorithm == "nra":
-            # NRA ranks by lower-bound scores: only the full returned set
-            # is exact, so a k_fetch prefix is NOT the top-k_requested.
-            # Overfetch is unsound here — fetch exactly what was asked.
-            k_fetch = k_requested
 
         transport = "local"
         if (

@@ -3,12 +3,15 @@
 :class:`QueryService` glues the three mechanisms of this package into
 one submit path::
 
-    plan  -> cache lookup -> shard fan-out -> exact merge -> truncate
-    (planner)  (epoch-checked LRU)   (ShardExecutor)         (k-overfetch)
+    cache lookup -> plan (on a miss) -> shard fan-out -> merge -> truncate
+    (epoch-checked LRU) (planner)       (ShardExecutor)   (exact) (k-overfetch)
 
-Every answer comes with a :class:`ServiceStats` record: the plan that
-was chosen, whether the cache answered, the shard fan-out, the exact
-access tallies the execution performed, and the wall-clock latency.
+The cache is keyed by the *request* (requested algorithm, bucketed
+``k``, scoring, options), so a reused answer is served without
+planning; its entry keeps the plan that computed it.  Every answer
+comes with a :class:`ServiceStats` record: that plan, whether the cache
+answered, the shard fan-out, the exact access tallies the execution
+performed, and the wall-clock latency.
 
 **Serving over mutable data.**  A service built from a
 :class:`repro.dynamic.DynamicDatabase` subscribes to its mutation
@@ -30,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,6 +58,8 @@ from repro.types import AccessTally, CostModel, ItemId, Score, TopKResult
 class ServiceStats:
     """Per-query service telemetry."""
 
+    #: the plan that computed the answer; a reuse reports its entry's
+    #: plan with this query's own ``k_requested``
     plan: PlanDecision
     cache_hit: bool
     epoch: int  #: data epoch the answer was computed (or cached) under
@@ -780,8 +785,37 @@ class QueryService:
         self.counters.patched += outcome == "patched"
         return ServiceResult(result=served, stats=stats)
 
+    def _request_key(self, spec: QuerySpec) -> tuple:
+        """The result-cache key of ``spec``: the request, not its plan.
+
+        The requested algorithm (``"auto"`` stays ``"auto"``), the
+        ``k_fetch`` any plan of it executes, the scoring semantics and
+        the options — all known without planning.
+        """
+        return normalized_query_key(
+            spec.algorithm,
+            self._planner.fetch_k(spec, cache_enabled=True),
+            spec.scoring,
+            spec.options,
+        )
+
+    @staticmethod
+    def _reuse_plan(plans: dict, k_requested: int) -> PlanDecision:
+        """The plan a reuse reports: its entry's plan, at its own k.
+
+        ``plans`` is the entry's ``{k_requested: PlanDecision}`` memo,
+        seeded with the plan that computed it; each further
+        ``k_requested`` is derived once and kept, so a reuse costs one
+        dict lookup.
+        """
+        plan = plans.get(k_requested)
+        if plan is None:
+            plan = replace(next(iter(plans.values())), k_requested=k_requested)
+            plans[k_requested] = plan
+        return plan
+
     def submit(self, spec: QuerySpec) -> ServiceResult:
-        """Answer one query: plan, consult the cache, execute, merge."""
+        """Answer one query: reuse a cached answer, or plan, execute, merge."""
         if self._closed:
             raise RuntimeError("service is closed")
         started = time.perf_counter()
@@ -797,7 +831,8 @@ class QueryService:
             else:
                 self._refresh()
 
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             # Every item was removed from the source: "all items, ranked"
             # is the empty answer, not a planning error (the caller's k
             # was valid; the data is just gone for now).
@@ -812,28 +847,28 @@ class QueryService:
         # passed, so the cache is bypassed entirely for that query.
         epoch = self._snapshot_epoch
         caching = self._cache is not None and not deferred
-        plan = self._planner.plan(spec, cache_enabled=caching)
-        if self._adaptive is not None:
-            self._observe_drift(spec, plan)
-        outcome = "miss"
-        full: TopKResult | None = None
         if caching:
-            key = normalized_query_key(
-                plan.algorithm, plan.k_fetch, spec.scoring, spec.options
-            )
+            key = self._request_key(spec)
             looked = self._cache.lookup(
                 key, epoch, scoring=spec.scoring, rescore=self._rescore
             )
-            full, outcome = looked.value, looked.outcome
-        if full is None:
-            full = self._execute_plan(plan, spec)
-            # An underfull answer (fewer items than planned — impossible
-            # today, the planner clamps k to n, but cheap to guard) has
-            # no exclusion boundary for the delta certificate: never
-            # cache one.
-            if caching and len(full.items) == plan.k_fetch:
-                self._cache.put(key, full, epoch)
-        return self._package(plan, full, started, epoch, outcome=outcome)
+            if looked.value is not None:
+                plan = self._reuse_plan(looked.plans, min(spec.k, n))
+                if self._adaptive is not None:
+                    self._observe_drift(spec, plan)
+                return self._package(
+                    plan, looked.value, started, epoch, outcome=looked.outcome
+                )
+        plan = self._planner.plan(spec, cache_enabled=caching)
+        if self._adaptive is not None:
+            self._observe_drift(spec, plan)
+        full = self._execute_plan(plan, spec)
+        # An underfull answer (fewer items than planned — impossible
+        # today, the planner clamps k to n, but cheap to guard) has no
+        # exclusion boundary for the delta certificate: never cache one.
+        if caching and len(full.items) == plan.k_fetch:
+            self._cache.put(key, full, epoch, {plan.k_requested: plan})
+        return self._package(plan, full, started, epoch, outcome="miss")
 
     def submit_many(self, specs: Sequence[QuerySpec]) -> list[ServiceResult]:
         """Answer a batch of queries in order (empty batch -> empty list)."""
@@ -852,16 +887,17 @@ class QueryService:
     ) -> ServiceResult:
         """Answer one query without blocking the event loop.
 
-        Planning and cache lookups run inline on the loop (they are
-        microseconds); execution is offloaded to a worker thread, gated
-        by ``semaphore`` when given, or admitted through ``limiter`` —
-        the AIMD controller :meth:`gather_many` shares across a replay,
-        which also feeds it the observed execution latency and stamps
-        the admission window into
-        :attr:`ServiceStats.concurrency_window`.  With the result cache
-        enabled, identical
-        queries in flight are *coalesced*: the first submit executes,
-        the rest await the same future and count as cache hits — so a
+        Cache lookups run inline on the loop, and so does planning on a
+        miss (after a snapshot patch it walks a cold first-seen prefix,
+        so it can take far longer than a lookup).  Execution is
+        offloaded to a worker thread, gated by ``semaphore`` when given,
+        or admitted through ``limiter`` — the AIMD controller
+        :meth:`gather_many` shares across a replay, which also feeds it
+        the observed execution latency and stamps the admission window
+        into :attr:`ServiceStats.concurrency_window`.  With the result
+        cache enabled, identical requests in flight are *coalesced*: the
+        first submit plans and executes, the rest await the same future,
+        report its plan at their own ``k`` and count as cache hits — so a
         concurrent replay performs exactly the executions (and reports
         the hit counts) of a serial one, which
         ``tests/integration/test_service_async.py`` asserts.  With the
@@ -882,16 +918,11 @@ class QueryService:
             if self._dirty:
                 self._refresh()
 
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return self._serve_empty(spec, started)
 
         caching = self._cache is not None
-        plan = self._planner.plan(spec, cache_enabled=caching)
-        if self._adaptive is not None:
-            self._observe_drift(spec, plan)
-        key = normalized_query_key(
-            plan.algorithm, plan.k_fetch, spec.scoring, spec.options
-        )
         # The execution reads the current snapshot, so its result — and
         # any cache entry holding it — is keyed to the *snapshot* epoch.
         # A mutation landing mid-flight bumps ``self._epoch`` but not
@@ -900,11 +931,15 @@ class QueryService:
         # misses) across the gap through the mutation log.
         epoch = self._snapshot_epoch
         if caching:
+            key = self._request_key(spec)
             while True:
                 looked = self._cache.lookup(
                     key, epoch, scoring=spec.scoring, rescore=self._rescore
                 )
                 if looked.value is not None:
+                    plan = self._reuse_plan(looked.plans, min(spec.k, n))
+                    if self._adaptive is not None:
+                        self._observe_drift(spec, plan)
                     return self._package(
                         plan,
                         looked.value,
@@ -916,7 +951,7 @@ class QueryService:
                 if pending is None:
                     break
                 try:
-                    full = await asyncio.shield(pending)
+                    full, plans = await asyncio.shield(pending)
                 except asyncio.CancelledError:
                     if not pending.cancelled():
                         raise  # our own cancellation, not the owner's
@@ -932,10 +967,18 @@ class QueryService:
                     if cancelling is not None and cancelling() > 0:
                         raise
                     continue
+                # The owner's plan, at this waiter's own k.
+                plan = self._reuse_plan(plans, min(spec.k, n))
+                if self._adaptive is not None:
+                    self._observe_drift(spec, plan)
                 return self._package(
                     plan, full, started, epoch, outcome="miss", coalesced=True
                 )
 
+        plan = self._planner.plan(spec, cache_enabled=caching)
+        if self._adaptive is not None:
+            self._observe_drift(spec, plan)
+        plans = {plan.k_requested: plan}
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         if caching:
             self._inflight[key] = future
@@ -970,10 +1013,10 @@ class QueryService:
             if caching:
                 self._inflight.pop(key, None)
             self._running.discard(future)
-        future.set_result(full)
+        future.set_result((full, plans))
         # Underfull answers carry no certificate boundary; see submit().
         if caching and len(full.items) == plan.k_fetch:
-            self._cache.put(key, full, epoch)
+            self._cache.put(key, full, epoch, plans)
         return self._package(
             plan, full, started, epoch, outcome="miss", window=window
         )

@@ -13,6 +13,13 @@ encounters into a queue (:meth:`poll` hands them out, or
 :meth:`drain` applies them to their handles directly).
 :meth:`sync` is the barrier — after it returns, every delta of every
 mutation the server committed before the barrier has been received.
+
+The ``timeout`` a client is opened with bounds its connect and every
+later send and read.  A timeout, an end of stream or a framing error
+closes the socket (its stream is no longer frame-aligned) and raises
+:class:`~repro.errors.WatchServerUnavailableError` naming the server;
+later calls fail fast with the same error.  :meth:`poll` waits for the
+first frame in ``select`` with its own ``timeout``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import socket
 from collections import deque
 
 from repro.distributed.socket_transport import recv_frame, send_frame
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, WatchServerUnavailableError
 from repro.types import ScoredItem
 from repro.watch.frames import ResultDelta, apply_delta
 
@@ -84,9 +91,11 @@ class WatchClient:
     def __init__(
         self, port: int, *, host: str = "127.0.0.1", timeout: float = 10.0
     ) -> None:
+        self.address = f"{host}:{port}"
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: why the connection failed (``None`` while it is up)
+        self._down: str | None = None
         self._pending: deque[ResultDelta] = deque()
         self.handles: dict[int, WatchHandle] = {}
         self.sent_bytes = 0
@@ -98,14 +107,37 @@ class WatchClient:
     # Requests
     # ------------------------------------------------------------------
 
-    def _request(self, kind: str, payload: dict, expect: str) -> dict:
-        self.sent_bytes += send_frame(
-            self._sock, {"kind": kind, "payload": payload}
-        )
-        while True:
+    def _check(self) -> None:
+        """Fail fast once the connection has failed."""
+        if self._down is not None:
+            raise WatchServerUnavailableError(self.address, self._down)
+
+    def _fail(self, exc: Exception) -> WatchServerUnavailableError:
+        """Close the socket after ``exc`` left its stream unaligned; the
+        returned error is raised for every call from now on."""
+        self._down = str(exc) or type(exc).__name__
+        self.close()
+        return WatchServerUnavailableError(self.address, self._down)
+
+    def _receive(self) -> tuple[dict, int]:
+        try:
             message, size = recv_frame(self._sock)
             if message is None:
                 raise ConnectionError("watch server closed the connection")
+        except (OSError, ProtocolError) as exc:
+            raise self._fail(exc) from exc
+        return message, size
+
+    def _request(self, kind: str, payload: dict, expect: str) -> dict:
+        self._check()
+        try:
+            self.sent_bytes += send_frame(
+                self._sock, {"kind": kind, "payload": payload}
+            )
+        except OSError as exc:
+            raise self._fail(exc) from exc
+        while True:
+            message, size = self._receive()
             if message.get("kind") == "delta":
                 self._queue_push(message, size)
                 continue
@@ -186,14 +218,13 @@ class WatchClient:
         waits for the socket to become readable, then reads every
         complete frame available without further waiting.
         """
+        self._check()
         wait = timeout if not self._pending else 0.0
         while True:
             ready, _, _ = select.select([self._sock], [], [], wait)
             if not ready:
                 break
-            message, size = recv_frame(self._sock)
-            if message is None:
-                raise ConnectionError("watch server closed the connection")
+            message, size = self._receive()
             if message.get("kind") != "delta":
                 raise ProtocolError(
                     f"unsolicited {message.get('kind')!r} frame"

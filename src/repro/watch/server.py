@@ -27,9 +27,18 @@ thread; :attr:`WatchServer.lock` serializes all service/database access
 — connection threads take it around every service call, and **any
 thread mutating the served database must hold it too** (the CLI's
 serve loop and the benchmark do).  Lock order is always service lock →
-connection send lock.  A client that stops reading eventually blocks
-the pushing mutator on the socket buffer — standing queries assume a
-live consumer; dead peers are detected by send failure and cancelled.
+connection send lock.
+
+Every send on a connection has a deadline (the server's ``timeout``),
+so a client that stops reading cannot stall the mutator that pushes to
+it: once its socket buffer fills, the push waits at most ``timeout``,
+then the connection is shut down (a half-written frame leaves the
+stream unaligned) and every subscription it owns is cancelled; other
+connections keep receiving.  Pushes go out one connection after
+another, so each stalled connection costs the mutating call at most
+one deadline, once.  A frame a client has started sending must
+arrive within the deadline too, but an idle connection — a subscriber
+that only listens — is never dropped.
 """
 
 from __future__ import annotations
@@ -73,6 +82,20 @@ def _wire_items(entries) -> list:
     return [[entry.item, entry.score] for entry in entries]
 
 
+def _await_frame(conn: socket.socket) -> None:
+    """Wait, without a deadline, until ``conn`` has a byte or EOF to read.
+
+    The connection's timeout bounds a frame once it starts arriving;
+    between frames a subscriber may stay silent for as long as it likes.
+    """
+    while True:
+        try:
+            conn.recv(1, socket.MSG_PEEK)
+            return
+        except TimeoutError:
+            continue
+
+
 class WatchServer:
     """One service behind a push-capable TCP endpoint.
 
@@ -83,9 +106,16 @@ class WatchServer:
     """
 
     def __init__(
-        self, service, *, host: str = "127.0.0.1", port: int = 0
+        self,
+        service,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        timeout: float = 10.0,
     ) -> None:
         self.service = service
+        #: seconds any one send (a reply or a push) may block
+        self.timeout = timeout
         #: serializes every touch of the service and its database.
         self.lock = threading.RLock()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -155,6 +185,7 @@ class WatchServer:
             except OSError:
                 return  # listener closed
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(self.timeout)
             self._connections.add(conn)
             threading.Thread(
                 target=self._serve_connection,
@@ -168,9 +199,10 @@ class WatchServer:
         owned: dict[int, object] = {}  #: subscription id -> Subscription
         try:
             while True:
+                _await_frame(conn)
                 request, _size = recv_frame(conn)
                 if request is None:
-                    return  # clean hangup
+                    return  # clean hangup (or shut down by a push)
                 kind = request.get("kind")
                 payload = request.get("payload") or {}
                 try:
@@ -257,12 +289,19 @@ class WatchServer:
                 with send_lock:
                     send_frame(conn, delta.to_wire())
             except OSError:
-                # The peer is gone; stop maintaining its subscription.
-                # (Runs inside the mutation call, under the service
-                # lock, so the cancel is race-free.)
-                subscription = owned.pop(delta.subscription, None)
-                if subscription is not None:
+                # A missed send deadline or a vanished peer.  A frame
+                # may be half written, so the stream is no longer
+                # frame-aligned: shut the connection down (its thread
+                # wakes and exits) and cancel every subscription it
+                # owns.  This runs inside the mutation call, under the
+                # service lock, so the cancels are race-free.
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                for subscription in tuple(owned.values()):
                     subscription.cancel()
+                owned.clear()
 
         return deliver
 

@@ -232,7 +232,7 @@ class TestEpochIndex:
         started = time.perf_counter()
         scanned = [
             key
-            for key, (epoch, _) in cache._entries.items()
+            for key, (epoch, *_) in cache._entries.items()
             if epoch < 1
         ]
         scan_seconds = time.perf_counter() - started
