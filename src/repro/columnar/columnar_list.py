@@ -16,6 +16,15 @@ Scalar accesses read from plain-list mirrors of the columns: algorithms
 doing per-entry Python loops pay list-indexing cost (same as the
 pure-Python backend) instead of NumPy scalar-boxing cost, keeping the
 generic path competitive while the array views feed the vectorized one.
+The mirrors are built on the first scalar read that needs them
+(``entry_at``, ``lookup``, ``items``, ``scores``, ``entries``), not when
+the list is made: a patched snapshot's lists are mostly read through the
+arrays, and ``len``, ``position_of``, ``rows_of`` and ``block`` never
+need the mirrors.
+
+Item ids compare by value, as keys of ``SortedList``'s dict index do:
+``1``, ``np.int64(1)``, ``1.0`` and ``True`` all name item 1, and
+``1.5`` names no item, whether or not the ids are exactly ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ class ColumnarList:
         "_rank_by_row",
         "_dense",
         "_name",
+        "_n",
         "_items_list",
         "_scores_list",
     )
@@ -75,7 +85,7 @@ class ColumnarList:
         self._items = np.ascontiguousarray(items[order])
         self._scores = np.ascontiguousarray(scores[order])
         self._name = name
-        n = self._items.shape[0]
+        n = self._n = self._items.shape[0]
         self._uids = np.sort(items)
         if n and not (np.diff(self._uids) > 0).all():
             duplicated = self._uids[:-1][np.diff(self._uids) == 0]
@@ -94,9 +104,10 @@ class ColumnarList:
         )
         rank_by_row[rows_in_rank_order] = np.arange(n, dtype=np.int64)
         self._rank_by_row = rank_by_row
-        # Plain-list mirrors for the scalar access primitives.
-        self._items_list: list[int] = self._items.tolist()
-        self._scores_list: list[float] = self._scores.tolist()
+        # Plain-list mirrors for the scalar access primitives, built on
+        # first use.
+        self._items_list: list[int] | None = None
+        self._scores_list: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -162,8 +173,9 @@ class ColumnarList:
         )
         instance._dense = bool(dense)
         instance._name = name
-        instance._items_list = instance._items.tolist()
-        instance._scores_list = instance._scores.tolist()
+        instance._n = instance._items.shape[0]
+        instance._items_list = None
+        instance._scores_list = None
         return instance
 
     @classmethod
@@ -187,23 +199,42 @@ class ColumnarList:
         return self._name
 
     def __len__(self) -> int:
-        return len(self._items_list)
+        return self._n
 
     def __contains__(self, item: ItemId) -> bool:
         return self._row_of(item) is not None
 
     def items(self) -> tuple[ItemId, ...]:
         """All item ids in rank order (best first)."""
-        return tuple(self._items_list)
+        return tuple(self._item_mirror())
 
     def scores(self) -> tuple[Score, ...]:
         """All local scores in rank order (descending)."""
-        return tuple(self._scores_list)
+        return tuple(self._score_mirror())
 
     def entries(self) -> Iterator[ListEntry]:
         """Iterate the whole list as :class:`ListEntry` records."""
-        for idx, (item, score) in enumerate(zip(self._items_list, self._scores_list)):
+        items, scores = self._item_mirror(), self._score_mirror()
+        for idx, (item, score) in enumerate(zip(items, scores)):
             yield ListEntry(position=idx + 1, item=item, score=score)
+
+    def _item_mirror(self) -> list[int]:
+        """The plain-list mirror of the item column, built on first use.
+
+        Racing readers may each build one; they are equal, and the
+        last assignment wins.
+        """
+        items = self._items_list
+        if items is None:
+            items = self._items_list = self._items.tolist()
+        return items
+
+    def _score_mirror(self) -> list[float]:
+        """The plain-list mirror of the score column, built on first use."""
+        scores = self._scores_list
+        if scores is None:
+            scores = self._scores_list = self._scores.tolist()
+        return scores
 
     # ------------------------------------------------------------------
     # Scalar access primitives (SortedList-compatible)
@@ -211,16 +242,15 @@ class ColumnarList:
 
     def entry_at(self, position: Position) -> ListEntry:
         """The entry at a 1-based position (direct access primitive)."""
-        if not 1 <= position <= len(self._items_list):
+        if not 1 <= position <= self._n:
             raise InvalidPositionError(
-                f"position {position} out of range 1..{len(self._items_list)}"
+                f"position {position} out of range 1..{self._n}"
             )
+        items, scores = self._items_list, self._scores_list
+        if items is None or scores is None:
+            items, scores = self._item_mirror(), self._score_mirror()
         idx = position - 1
-        return ListEntry(
-            position=position,
-            item=self._items_list[idx],
-            score=self._scores_list[idx],
-        )
+        return ListEntry(position=position, item=items[idx], score=scores[idx])
 
     def score_at(self, position: Position) -> Score:
         """Local score at a 1-based position."""
@@ -240,19 +270,26 @@ class ColumnarList:
     def lookup(self, item: ItemId) -> tuple[Score, Position]:
         """Local score and position of ``item`` (random access primitive)."""
         position = self.position_of(item)
-        return self._scores_list[position - 1], position
+        scores = self._scores_list
+        if scores is None:
+            scores = self._score_mirror()
+        return scores[position - 1], position
 
     def _row_of(self, item: ItemId) -> int | None:
-        n = len(self._items_list)
-        if self._dense:
-            # NumPy integers must work too (e.g. ids read back from
-            # uids_array), exactly as they do on the searchsorted path
-            # and on the dict-indexed python backend.
-            if isinstance(item, (int, np.integer)) and 0 <= item < n:
-                return int(item)
+        """Row (into ``uids_array``) of the id equal to ``item``, if any."""
+        # Any value equal to an id names it (np.int64(1), 1.0, True), as
+        # on SortedList's dict index, on dense and sparse ids alike.
+        try:
+            key = int(item)
+        except (TypeError, ValueError, OverflowError):
             return None
-        row = int(np.searchsorted(self._uids, item))
-        if row < n and int(self._uids[row]) == item:
+        if key != item:
+            return None
+        n = self._n
+        if self._dense:
+            return key if 0 <= key < n else None
+        row = int(self._uids.searchsorted(key))
+        if row < n and int(self._uids[row]) == key:
             return row
         return None
 
@@ -304,7 +341,7 @@ class ColumnarList:
                     f"in list {self._name or '?'}"
                 )
             items = items.astype(np.int64)
-        n = len(self._items_list)
+        n = self._n
         if self._dense:
             if items.size and (int(items.min()) < 0 or int(items.max()) >= n):
                 bad = items[(items < 0) | (items >= n)]
@@ -338,7 +375,7 @@ class ColumnarList:
             raise InvalidPositionError(f"block start must be >= 1, got {start}")
         if count < 0:
             raise InvalidPositionError(f"block count must be >= 0, got {count}")
-        stop = min(start - 1 + count, len(self._items_list))
+        stop = min(start - 1 + count, self._n)
         # Contiguous read-only views, no index gather: the round-plan
         # engine's sorted waves read straight out of the canonical layout.
         positions = np.arange(start, stop + 1, dtype=np.int64)
@@ -350,4 +387,4 @@ class ColumnarList:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self._name or "ColumnarList"
-        return f"<{label} (columnar): {len(self._items_list)} items>"
+        return f"<{label} (columnar): {self._n} items>"

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.columnar.columnar_list import ColumnarList
 from repro.columnar.walk import _LAYOUT_LOCK, UNFILLED, FirstSeenPrefix, TotalsMemo
-from repro.errors import InconsistentListsError
+from repro.errors import InconsistentListsError, UnknownItemError
 from repro.scoring import ScoringFunction, scoring_key
 from repro.types import ItemId, Score
 
@@ -137,16 +137,19 @@ class ColumnarDatabase:
     ) -> None:
         if not lists:
             raise InconsistentListsError("a database needs at least one list")
-        reference = lists[0].uids_array
+        # A patched snapshot's lists share one id array: only that very
+        # object skips the comparison.
+        reference = lists[0]._uids
         for columnar_list in lists[1:]:
-            if not np.array_equal(columnar_list.uids_array, reference):
+            uids = columnar_list._uids
+            if uids is not reference and not np.array_equal(uids, reference):
                 raise InconsistentListsError(
                     "all lists of a database must contain the same items "
                     f"(list {columnar_list.name or '?'} differs)"
                 )
         self._lists: tuple[ColumnarList, ...] = tuple(lists)
         self._labels = dict(labels) if labels else {}
-        self._item_ids: frozenset[ItemId] = frozenset(reference.tolist())
+        self._item_ids: frozenset[ItemId] | None = None
         self._score_matrix: np.ndarray | None = None
         self._position_matrix: np.ndarray | None = None
         self._layout: DatabaseLayout | None = None
@@ -236,8 +239,21 @@ class ColumnarDatabase:
 
     @property
     def item_ids(self) -> frozenset[ItemId]:
-        """The shared item id set."""
-        return self._item_ids
+        """The shared item id set, built on first read (O(n)).
+
+        Membership tests should use :meth:`has_item`, which needs no
+        set; a patched snapshot whose set nobody reads never builds one.
+        """
+        ids = self._item_ids
+        if ids is None:
+            ids = self._item_ids = frozenset(self.uids_array.tolist())
+        return ids
+
+    def has_item(self, item: ItemId) -> bool:
+        """``item in item_ids``, without building the set: one id lookup
+        in the first list (O(1) on ids ``0..n-1``, a binary search
+        otherwise)."""
+        return self._lists[0]._row_of(item) is not None
 
     def label(self, item: ItemId) -> str:
         """Display label of ``item`` (falls back to ``"item <id>"``)."""
@@ -253,20 +269,31 @@ class ColumnarDatabase:
         return self._lists[index]
 
     def local_scores(self, item: ItemId) -> tuple[Score, ...]:
-        """The item's local score in every list, in list order."""
+        """The item's local score in every list, in list order.
+
+        Read from the arrays (the item has one row in every list), so
+        no list builds its scalar mirrors for it.
+        """
+        first = self._lists[0]
+        row = first._row_of(item)
+        if row is None:
+            raise UnknownItemError(
+                f"item {item} not in list {first.name or '?'}"
+            )
         return tuple(
-            columnar_list.lookup(item)[0] for columnar_list in self._lists
+            float(columnar_list._scores[columnar_list._rank_by_row[row]])
+            for columnar_list in self._lists
         )
 
     def positions(self, item: ItemId) -> tuple[int, ...]:
         """The item's 1-based position in every list, in list order."""
         return tuple(
-            columnar_list.lookup(item)[1] for columnar_list in self._lists
+            columnar_list.position_of(item) for columnar_list in self._lists
         )
 
     def iter_items(self) -> Iterable[ItemId]:
         """All item ids in ascending order."""
-        return sorted(self._item_ids)
+        return self.uids_array.tolist()
 
     # ------------------------------------------------------------------
     # Columnar extras: whole-database matrices for the vectorized engine

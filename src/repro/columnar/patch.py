@@ -22,15 +22,23 @@ That structural sharing is what makes snapshots epoch-versioned views:
 in-flight queries keep reading the object they captured while the
 service publishes the patched successor.
 
-The work per patch is:
+The work per patch is a few vectorized passes over the touched columns,
+with Python work per touched item but none per stored item, and no
+search over all ``n`` ids:
 
 * fold the window to its *net* outcome per item (an insert+remove
   cancels; an update back to the original value is a no-op), bounded by
   the caller's patch budget;
-* per touched list, mask-delete the vacated ranks and merge the
-  re-scored entries into the canonical (score desc, item asc) order via
-  ``searchsorted`` — only the touched span of ``rank_by_row`` is
-  recomputed when membership is unchanged;
+* on a membership change, splice the ascending id array (drop removed
+  rows, insert added ids) and map every old row to its new one with one
+  ``bincount``/``cumsum`` over the removal and insertion slots;
+* per touched list, find where each re-scored entry goes in the
+  canonical (score desc, item asc) order (``searchsorted`` over the
+  equal-score run), then splice items, scores and each rank's row in one
+  copy per column: the spliced rows invert into ``rank_by_row``, so no
+  id is searched to rebuild the rank permutation;
+* build no scalar mirror and no id set: the successor's lists and
+  database make them on first read;
 * give back ``None`` whenever the window cannot prove the net delta
   (score vectors missing) or exceeds the budget — the caller falls back
   to a cold rebuild, trading time for certainty, never correctness.
@@ -57,13 +65,12 @@ def _fold_events(
     score vectors needed to patch (a subscriber captured without scores
     cannot prove the post-state).
     """
-    known = database.item_ids
     final: dict[int, tuple[float, ...] | None] = {}
     existed: dict[int, bool] = {}
     for event in events:
         item = event.item
         if item not in existed:
-            existed[item] = item in known
+            existed[item] = database.has_item(item)
         if event.kind == "remove_item":
             final[item] = None
         else:
@@ -73,30 +80,65 @@ def _fold_events(
     return final, existed
 
 
-def _merged_positions(
-    kept_items: np.ndarray,
-    kept_scores: np.ndarray,
+def _insert_before(
+    items: np.ndarray,
+    scores: np.ndarray,
     ins_items: np.ndarray,
     ins_scores: np.ndarray,
 ) -> np.ndarray:
-    """Pre-insert indices placing each entry at its canonical rank.
+    """For each new entry, the old rank it goes before (``n``: the end).
 
-    ``kept_*`` are canonical (score desc, item asc); ``ins_*`` must be
-    lexsorted the same way.  The composite (-score, item) key is searched
-    in two steps: the equal-score run by score, then the tie position by
-    item — equal resulting indices are resolved by ``np.insert`` in
-    argument order, which the caller's lexsort already made canonical.
+    ``items``/``scores`` are a canonical (score desc, item asc) column,
+    vacated entries included; ``ins_*`` must be lexsorted the same way,
+    so the result is non-decreasing.  The composite (-score, item) key
+    is searched in two steps: the equal-score run by score, then the tie
+    position by item.
     """
-    negated = -kept_scores
+    negated = -scores
     run_start = np.searchsorted(negated, -ins_scores, side="left")
     run_stop = np.searchsorted(negated, -ins_scores, side="right")
     positions = np.empty(len(ins_items), dtype=np.int64)
     for j in range(len(ins_items)):
         lo, hi = int(run_start[j]), int(run_stop[j])
         positions[j] = lo + int(
-            np.searchsorted(kept_items[lo:hi], ins_items[j], side="left")
+            np.searchsorted(items[lo:hi], ins_items[j], side="left")
         )
     return positions
+
+
+def _splice_plan(
+    n: int, vacated: list[int], at: list[int]
+) -> list[tuple[int, int, int]]:
+    """How to splice a column of length ``n``: ``(lo, hi, j)`` steps.
+
+    Each step copies old entries ``lo..hi-1`` and then, when ``j >= 0``,
+    the ``j``-th inserted value.  ``vacated`` (ascending) are the old
+    indices to drop; ``at[j]`` (non-decreasing) is the old index the
+    ``j``-th inserted value goes before (``n``: at the end).
+    """
+    plan = []
+    cursor = j = 0
+    for stop in vacated + [n]:
+        while j < len(at) and at[j] <= stop:
+            plan.append((cursor, at[j], j))
+            cursor = at[j]
+            j += 1
+        plan.append((cursor, stop, -1))
+        cursor = stop + 1
+    return plan
+
+
+def _splice(
+    column: np.ndarray, plan: list[tuple[int, int, int]], inserted: np.ndarray
+) -> np.ndarray:
+    """A new ``column`` spliced by ``plan`` (see :func:`_splice_plan`):
+    one copy, in kept runs and inserted values."""
+    pieces = []
+    for lo, hi, j in plan:
+        pieces.append(column[lo:hi])
+        if j >= 0:
+            pieces.append(inserted[j : j + 1])
+    return np.concatenate(pieces)
 
 
 def patch_database(
@@ -124,149 +166,116 @@ def patch_database(
     if folded is None:
         return None
     final, existed = folded
-    m = database.m
+    lists = database.lists
+    first = lists[0]
+    m, n = database.m, database.n
 
-    removals: list[int] = []
-    inserts: list[tuple[int, tuple[float, ...]]] = []
-    updates: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    touched_items = 0
-    for item, state in final.items():
+    removed: list[int] = []
+    added: list[int] = []
+    stayed: list[int] = []
+    for item, state in sorted(final.items()):
         if state is None:
             if existed[item]:
-                removals.append(item)
-                touched_items += 1
-        elif existed[item]:
-            current = database.local_scores(item)
-            changed = [
-                i for i in range(m) if current[i] != float(state[i])
-            ]
-            if changed:
-                touched_items += 1
-                for i in changed:
-                    updates[i].append((item, float(state[i])))
+                removed.append(item)
         else:
-            inserts.append((item, tuple(float(s) for s in state)))
-            touched_items += 1
+            (stayed if existed[item] else added).append(item)
 
+    # Which lists re-score each surviving item: (m, len(stayed)) masks.
+    stayed_ids = np.asarray(stayed, dtype=np.int64)
+    stayed_rows = first.rows_of(stayed_ids)
+    targets = np.asarray(
+        [final[item] for item in stayed], dtype=np.float64
+    ).reshape(len(stayed), m).T
+    current = np.array([
+        columnar_list._scores[columnar_list._rank_by_row[stayed_rows]]
+        for columnar_list in lists
+    ])
+    changed = current != targets
+    rescored = changed.any(axis=0)
+
+    touched_items = len(removed) + len(added) + int(rescored.sum())
     if not touched_items:
         return database
     if touched_items > budget:
         return None
 
-    membership_changed = bool(removals or inserts)
+    # Rows (indices into the ascending id array) of the successor.  Old
+    # row r moves by the ids inserted before it less the ids removed
+    # before it, so old rows map to new ones without searching any id.
+    membership_changed = bool(removed or added)
+    removed_rows = first.rows_of(np.asarray(removed, dtype=np.int64))
+    added_ids = np.asarray(added, dtype=np.int64)
+    added_scores = np.asarray(
+        [final[item] for item in added], dtype=np.float64
+    ).reshape(len(added), m).T
+    id_at = first._uids.searchsorted(added_ids)
+    added_rows = (
+        id_at
+        + np.arange(len(added), dtype=np.int64)
+        - removed_rows.searchsorted(id_at)
+    )
+    new_row = np.arange(n, dtype=np.int64)
     if membership_changed:
-        old_uids = database.uids_array
-        if removals:
-            rows = database.lists[0].rows_of(
-                np.asarray(sorted(removals), dtype=np.int64)
-            )
-            keep = np.ones(database.n, dtype=bool)
-            keep[rows] = False
-            kept_uids = old_uids[keep]
-        else:
-            kept_uids = np.asarray(old_uids)
-        if inserts:
-            added = np.asarray(
-                sorted(item for item, _ in inserts), dtype=np.int64
-            )
-            slots = np.searchsorted(kept_uids, added)
-            new_uids = np.insert(kept_uids, slots, added)
-        else:
-            new_uids = np.ascontiguousarray(kept_uids)
-        n_new = int(new_uids.shape[0])
-        dense = bool(
-            n_new == 0
-            or (int(new_uids[0]) == 0 and int(new_uids[-1]) == n_new - 1)
+        uids = _splice(
+            first._uids,
+            _splice_plan(n, removed_rows.tolist(), id_at.tolist()),
+            added_ids,
         )
+        new_row += np.cumsum(
+            np.bincount(id_at, minlength=n + 1)
+            - np.bincount(removed_rows + 1, minlength=n + 1)
+        )[:n]
+    else:
+        uids = first._uids
+    n_new = uids.shape[0]
+    dense = bool(
+        n_new == 0 or (int(uids[0]) == 0 and int(uids[-1]) == n_new - 1)
+    )
+    ranks = np.arange(n_new, dtype=np.int64)
 
     new_lists: list[ColumnarList] = []
     touched_lists: list[int] = []
-    for i, old_list in enumerate(database.lists):
-        to_delete = removals + [item for item, _ in updates[i]]
-        to_insert = [(item, scores[i]) for item, scores in inserts]
-        to_insert += updates[i]
-        if not to_delete and not to_insert:
+    for i, old_list in enumerate(lists):
+        moved = changed[i]
+        if not membership_changed and not moved.any():
             new_lists.append(old_list)  # epoch-versioned structural share
             continue
         touched_lists.append(i)
+        moved_rows = stayed_rows[moved]
+        old_ranks = old_list._rank_by_row
+        items, scores = old_list._items, old_list._scores
 
-        items = old_list.items_array
-        scores = old_list.scores_array
-        if to_delete:
-            vacated = np.asarray(
-                old_list.rank_by_row[
-                    old_list.rows_of(np.asarray(to_delete, dtype=np.int64))
-                ]
+        ins_items = np.concatenate((added_ids, stayed_ids[moved]))
+        ins_scores = np.concatenate((added_scores[i], targets[i, moved]))
+        ins_rows = np.concatenate((added_rows, new_row[moved_rows]))
+        order = np.lexsort((ins_items, -ins_scores))
+        ins_items = ins_items[order]
+        ins_scores = ins_scores[order]
+        vacated = old_ranks[np.concatenate((removed_rows, moved_rows))]
+        plan = _splice_plan(
+            n,
+            np.sort(vacated).tolist(),
+            _insert_before(items, scores, ins_items, ins_scores).tolist(),
+        )
+        # Each rank's successor row rides through the same splice as its
+        # item and score; inverting the result gives rank_by_row.
+        row_at = np.empty(n, dtype=np.int64)
+        row_at[old_ranks] = new_row
+        rank_by_row = np.empty(n_new, dtype=np.int64)
+        rank_by_row[_splice(row_at, plan, ins_rows[order])] = ranks
+        new_lists.append(
+            ColumnarList._from_canonical(
+                _splice(items, plan, ins_items),
+                _splice(scores, plan, ins_scores),
+                uids,
+                rank_by_row,
+                dense,
+                old_list.name,
             )
-            keep = np.ones(items.shape[0], dtype=bool)
-            keep[vacated] = False
-            kept_items = items[keep]
-            kept_scores = scores[keep]
-        else:
-            vacated = np.empty(0, dtype=np.int64)
-            kept_items = np.asarray(items)
-            kept_scores = np.asarray(scores)
-
-        if to_insert:
-            ins_items = np.asarray([p[0] for p in to_insert], dtype=np.int64)
-            ins_scores = np.asarray(
-                [p[1] for p in to_insert], dtype=np.float64
-            )
-            order = np.lexsort((ins_items, -ins_scores))
-            ins_items = ins_items[order]
-            ins_scores = ins_scores[order]
-            slots = _merged_positions(
-                kept_items, kept_scores, ins_items, ins_scores
-            )
-            new_items = np.insert(kept_items, slots, ins_items)
-            new_scores = np.insert(kept_scores, slots, ins_scores)
-        else:
-            slots = np.empty(0, dtype=np.int64)
-            new_items = np.ascontiguousarray(kept_items)
-            new_scores = np.ascontiguousarray(kept_scores)
-
-        if membership_changed:
-            rank_by_row = np.empty(n_new, dtype=np.int64)
-            rows_in_rank_order = (
-                new_items if dense else np.searchsorted(new_uids, new_items)
-            )
-            rank_by_row[rows_in_rank_order] = np.arange(n_new, dtype=np.int64)
-            new_lists.append(
-                ColumnarList._from_canonical(
-                    new_items,
-                    new_scores,
-                    new_uids,
-                    rank_by_row,
-                    dense,
-                    old_list.name,
-                )
-            )
-        else:
-            # Same membership, same per-list delete/insert count: ranks
-            # outside [span_lo, span_hi] are provably unchanged, so only
-            # the touched span of the rank permutation is recomputed —
-            # the "incremental re-sort of the touched prefix".
-            landed = slots + np.arange(slots.shape[0], dtype=np.int64)
-            span_lo = min(int(vacated.min()), int(landed.min()))
-            span_hi = max(int(vacated.max()), int(landed.max()))
-            rank_by_row = np.array(old_list.rank_by_row)
-            span_rows = old_list.rows_of(new_items[span_lo : span_hi + 1])
-            rank_by_row[span_rows] = np.arange(
-                span_lo, span_hi + 1, dtype=np.int64
-            )
-            new_lists.append(
-                ColumnarList._from_canonical(
-                    new_items,
-                    new_scores,
-                    np.asarray(old_list.uids_array),
-                    rank_by_row,
-                    old_list.dense_ids,
-                    old_list.name,
-                )
-            )
+        )
 
     labels = dict(database._labels)
-    for item in removals:
+    for item in removed:
         labels.pop(item, None)
     patched = ColumnarDatabase(new_lists, labels=labels or None)
     if not membership_changed:
@@ -278,9 +287,5 @@ def patch_database(
                 database._layout, patched, touched_lists
             )
         # So do the per-scoring totals: only re-scored rows start over.
-        rescored = {item for per_list in updates for item, _ in per_list}
-        rows = database.lists[0].rows_of(
-            np.fromiter(rescored, dtype=np.int64, count=len(rescored))
-        )
-        database.carry_memos(patched, rows.tolist())
+        database.carry_memos(patched, stayed_rows[rescored].tolist())
     return patched

@@ -15,7 +15,8 @@ serve; ``tests/unit/test_mutation_log.py`` holds the property test.
 Epochs are the service's mutation counter: strictly increasing, one per
 committed mutation, so the retained events are contiguous and coverage
 is a pair of integer comparisons — no per-event scanning on the miss
-path.
+path.  A covered window is collected from the newest event back, so it
+costs the events in the window, not the events retained.
 """
 
 from __future__ import annotations
@@ -105,9 +106,15 @@ class MutationLog:
         """
         if after < self._floor or up_to > self._top:
             return None
-        return tuple(
-            event for epoch, event in self._events if after < epoch <= up_to
-        )
+        # Newest first, stopping at ``after``: O(window), not O(depth).
+        window = []
+        for epoch, event in reversed(self._events):
+            if epoch <= after:
+                break
+            if epoch <= up_to:
+                window.append(event)
+        window.reverse()
+        return tuple(window)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -184,7 +184,7 @@ class ReverseTopkEngine:
         started = time.perf_counter()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if database.n == 0 or item not in database.item_ids:
+        if database.n == 0 or not database.has_item(item):
             raise UnknownItemError(f"item {item} is not in the database")
         entries, weights = self._registry.aligned(database.m)
         counters = self.counters

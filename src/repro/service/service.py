@@ -730,8 +730,7 @@ class QueryService:
         objects through this instead of re-running the query.
         """
         database = self._executor.database
-        known = database.item_ids
-        present = [item for item in items if item in known]
+        present = [item for item in items if database.has_item(item)]
         scores: dict[ItemId, tuple[Score, ...] | None] = {
             item: None for item in items
         }

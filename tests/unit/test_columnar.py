@@ -88,6 +88,40 @@ class TestColumnarList:
                 assert columnar.lookup(item) == columnar.lookup(int(item))
                 assert item in columnar
 
+    @pytest.mark.parametrize("layout", ["dense", "sparse", "sorted_list"])
+    def test_ids_compare_by_value_on_every_layout(self, layout):
+        """A value equal to an id names it, as on SortedList's dict
+        index; the answer must not change when a removal leaves a gap
+        in the ids (dense -> sparse)."""
+        ids = [0, 1, 2, 5] if layout == "sparse" else [0, 1, 2, 3]
+        entries = [(item, 0.5 + item) for item in ids]
+        if layout == "sorted_list":
+            source = SortedList(entries)
+        else:
+            source = ColumnarList(entries)
+            assert source.dense_ids == (layout == "dense")
+        n = len(ids)
+        expected = source.position_of(1)
+        for equal in (1, np.int64(1), 1.0, True):
+            assert source.position_of(equal) == expected
+            assert source.lookup(equal) == source.lookup(1)
+            assert equal in source
+        for absent in (1.5, -1, n):
+            assert absent not in source
+            with pytest.raises(UnknownItemError):
+                source.position_of(absent)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3], [0, 1, 2, 5]])
+    def test_has_item_agrees_with_item_ids(self, ids):
+        database = ColumnarDatabase(
+            [ColumnarList([(item, 0.1 * item) for item in ids])] * 2
+        )
+        probes = [
+            1, np.int64(1), 1.0, True, False, 1.5, -1, 3, 4, 5, "1", None,
+        ]
+        for probe in probes:
+            assert database.has_item(probe) == (probe in database.item_ids)
+
     def test_sparse_ids(self):
         sparse = ColumnarList([(100, 1.0), (7, 3.0), (55, 2.0)])
         assert not sparse.dense_ids
