@@ -11,7 +11,9 @@ unchanged, with identical results and identical metered access tallies
   score/position matrices;
 * :class:`TotalsMemo` — per snapshot and scoring semantics, the
   per-item overall scores, filled on first touch and bounded per
-  snapshot (:func:`scoring_capacity`);
+  snapshot (:func:`scoring_capacity`), and for the stock sums
+  approximate totals within a certified margin, so most comparisons
+  need no exact sum;
 * :class:`FirstSeenPrefix` — per snapshot, which rows parallel sorted
   access has seen by each depth, extended lazily and shared by the
   planner's walk and the TA/BPA kernels (:mod:`repro.columnar.walk`);

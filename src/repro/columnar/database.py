@@ -12,8 +12,10 @@ feed the vectorized engine:
 * :meth:`totals_memo` — per scoring semantics, a :class:`TotalsMemo`
   of per-item overall scores, filled on first touch and shared by the
   planner's statistics and the kernels, so a scoring pays only for the
-  rows some algorithm actually reaches.  The snapshot keeps at most
-  :func:`scoring_capacity` of them (least recently used go first);
+  rows some algorithm actually reaches (for the stock sums, exact sums
+  only for the rows an approximation cannot place).  The snapshot keeps
+  at most :func:`scoring_capacity` of them (least recently used go
+  first);
 * :meth:`first_seen_prefix` — the scoring-independent
   :class:`FirstSeenPrefix` (which rows parallel sorted access has seen by
   each depth), the one walk the planner and the TA/BPA kernels share;
@@ -50,7 +52,14 @@ MAX_MEMO_ROWS = MAX_SCORINGS * 20_000
 
 
 def scoring_capacity(n: int) -> int:
-    """How many scorings' per-scoring state to keep for ``n`` items."""
+    """How many scorings' per-scoring state to keep for ``n`` items.
+
+    This bounds a snapshot's memos in bytes.  A memo holds ``n`` totals
+    (8 bytes each) and, for a stock sum, approximations of the prefix's
+    rows: at worst one more float per row.  So the memo table holds at
+    most ``16 * n * scoring_capacity(n) <= 16 * MAX_MEMO_ROWS`` bytes
+    (20.5 MB), half of that for totals.
+    """
     return max(1, min(MAX_SCORINGS, MAX_MEMO_ROWS // max(1, n)))
 
 
@@ -371,8 +380,7 @@ class ColumnarDatabase:
             else:
                 memos.move_to_end(key)
             if memo._columns is None:
-                memo._columns = self.score_matrix()
-                memo._ids = self.uids_array
+                memo._bind(self.score_matrix(), self.uids_array)
         return memo
 
     def carry_memos(
@@ -380,7 +388,9 @@ class ColumnarDatabase:
     ) -> None:
         """Copy every memo to a successor snapshot with the same rows, in
         which only ``touched_rows`` changed their local scores: every
-        other row keeps its total (same floats in, same float out)."""
+        other row keeps its total (same floats in, same float out).  The
+        approximations stay behind: they follow this snapshot's prefix,
+        and the successor starts its own."""
         with _LAYOUT_LOCK:
             memos = list(self._memos.items())
         for key, memo in memos:

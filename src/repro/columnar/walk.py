@@ -17,19 +17,40 @@ leading entries of list ``j`` whose row was first seen at depth
   best total of the rows seen by ``p*`` reaches the bound at ``p*`` (or
   ``n``), with the top ``k`` of those rows in :class:`TopKBuffer` order.
 
-The search is exact for every scoring.  For the stock sums (exactly
-:class:`~repro.scoring.SumScoring` and
+The memo's contract.  ``totals[row]`` is NaN until some reader fills
+it, then the exact float the scoring returns for the row; answers,
+tallies and ``extras`` read nothing else.  For a stock sum (exactly
+:class:`~repro.scoring.SumScoring` or
 :class:`~repro.scoring.WeightedSumScoring`, see :func:`is_stock_sum`)
-the bound never rises with ``p`` — the products are IEEE multiplies by
+the memo also keeps approximate totals of the prefix's rows, in the
+prefix's order, extended lazily as readers cover more of it,
+and one margin ``mu`` for all of them
+(:func:`repro.scoring.batch.approximation_margin`): every approximation
+lies within ``mu`` of its row's total.  Approximations only decide
+comparisons.  A total compared with a value more than ``mu`` away is
+settled by its approximation; only the rows inside that band are summed
+exactly.  They belong to one snapshot's prefix, so a patch carries the
+exact totals forward but never the approximations.  A memo whose margin
+is infinite — a ±inf or NaN score, magnitudes where ``math.fsum`` may
+overflow, or any scoring but a stock sum — keeps no approximations and
+sums every row it compares.
+
+The search is exact for every scoring.  For the stock sums the bound
+never rises with ``p`` — the products are IEEE multiplies by
 non-negative weights and the sum is correctly rounded — so the stop test
 is monotone in ``p`` and the search gallops and then bisects, with one
-scalar bound call per probe.  Any other scoring, a subclass included,
-may not be monotone in floating point, so it is checked depth by depth,
-one scalar call each, as the reference algorithms check it.
+scalar bound call per probe.  A probe counts rows by their
+approximations, and the answer sums exactly only the rows whose
+approximations come within ``2 * mu`` of the k-th approximation or
+above it: about ``k`` rows, in one batch.  Any other scoring, a subclass
+included, may not be monotone in floating point, and a memo with an
+infinite margin has no approximations, so both are checked depth by
+depth, one scalar call each, as the reference algorithms check it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from array import array
 from bisect import bisect_left
@@ -40,6 +61,7 @@ import numpy as np
 
 from repro.errors import ScoringError
 from repro.scoring import ScoringFunction, SumScoring, WeightedSumScoring
+from repro.scoring.batch import approximate_sums, approximation_margin
 from repro.types import Score, ScoredItem
 
 #: Guards everything derived lazily from one snapshot: its layout, its
@@ -75,6 +97,11 @@ def step_end(depth: int, n: int) -> int:
     return min(n, depth + max(32, depth // 2))
 
 
+def kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of ``values`` (``1 <= k <= len(values)``)."""
+    return np.partition(values, len(values) - k)[len(values) - k]
+
+
 class TotalsMemo:
     """Row -> overall score under one scoring, filled on first touch.
 
@@ -90,19 +117,48 @@ class TotalsMemo:
     lock.  ``totals`` is an ``array('d')``, so NumPy can read and write
     it in place (``np.frombuffer``).
 
+    For a stock sum, :meth:`approximations` gives approximate totals of
+    the first-seen prefix's rows, all within :meth:`margin` of the
+    totals (see the module docstring).
+
     A scoring that returns NaN raises :class:`~repro.errors.ScoringError`
     naming the item: a NaN overall score has no rank.
     """
 
-    __slots__ = ("scoring", "totals", "_columns", "_ids")
+    __slots__ = (
+        "scoring",
+        "totals",
+        "_columns",
+        "_ids",
+        "_margin",
+        "_weights",
+        "_approx",
+        "_approximated",
+    )
 
     def __init__(self, scoring: ScoringFunction, totals: array) -> None:
         self.scoring = scoring
         self.totals = totals
-        #: the ``(m, n)`` score matrix and the row -> id array, bound on
-        #: first hand-out
+        #: the ``(m, n)`` score matrix, the row -> id array and a
+        #: weighted sum's ``(m, 1)`` weights (``None`` for any other
+        #: scoring), bound on first hand-out (:meth:`_bind`)
         self._columns: np.ndarray | None = None
         self._ids: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+        #: the approximations' error bound, set on first read
+        self._margin: float | None = None
+        #: approximate totals of the prefix's rows in the prefix's order,
+        #: the first ``_approximated`` of them valid (published last)
+        self._approx = np.empty(0)
+        self._approximated = 0
+
+    def _bind(self, columns: np.ndarray, ids: np.ndarray) -> None:
+        """Bind the snapshot's score matrix and ids, and the weights
+        :meth:`approximations` multiplies by."""
+        self._columns, self._ids = columns, ids
+        scoring = self.scoring
+        if type(scoring) is WeightedSumScoring and len(scoring.weights) == len(columns):
+            self._weights = np.array(scoring.weights)[:, np.newaxis]
 
     def fill(self, row: int) -> Score:
         """Compute, store and return the total of one row."""
@@ -121,7 +177,7 @@ class TotalsMemo:
         once per row.
         """
         scoring = self.scoring
-        block = self._columns[:, rows]
+        block = self._columns.take(rows, axis=1)  # C-contiguous, unlike [:, rows]
         if is_stock_sum(scoring):
             filled = scoring.batch(block)
         else:
@@ -132,6 +188,59 @@ class TotalsMemo:
         if unranked.any():
             raise self._unranked(int(rows[unranked.argmax()]))
         np.frombuffer(self.totals, dtype=np.float64)[rows] = filled
+
+    def totals_of(self, rows: np.ndarray) -> np.ndarray:
+        """The totals of ``rows``, the unfilled ones filled in one
+        :meth:`fill_rows` batch."""
+        totals = np.frombuffer(self.totals, dtype=np.float64)
+        scored = totals[rows]
+        unfilled = np.isnan(scored)
+        if unfilled.any():
+            self.fill_rows(rows[unfilled])
+            scored = totals[rows]
+        return scored
+
+    def margin(self, prefix: "FirstSeenPrefix") -> float:
+        """``mu``: every approximation lies within it of its row's total.
+
+        Infinite when the memo keeps no approximations: its scoring is
+        not a stock sum, its weights do not match the snapshot's lists,
+        or :func:`~repro.scoring.batch.approximation_margin` refuses the
+        lists' magnitudes (``prefix`` is this memo's snapshot's).
+        """
+        margin = self._margin
+        if margin is None:
+            margin = math.inf
+            scoring = self.scoring
+            if is_stock_sum(scoring) and prefix.n:
+                weights = None
+                if type(scoring) is WeightedSumScoring:
+                    weights = scoring.weights
+                if weights is None or len(weights) == len(self._columns):
+                    margin = approximation_margin(prefix.magnitudes(), weights)
+            self._margin = margin
+        return margin
+
+    def approximations(self, prefix: "FirstSeenPrefix", count: int) -> np.ndarray:
+        """Approximate totals of ``prefix.rows[:count]``, in that order.
+
+        Valid only for a memo whose :meth:`margin` is finite.  Extended
+        under the layout lock, values first and ``count`` last, so
+        readers never take the lock (as :class:`FirstSeenPrefix` does);
+        a grown array keeps every value already published.
+        """
+        if self._approximated < count:
+            with _LAYOUT_LOCK:
+                while self._approximated < count:
+                    done, approx = self._approximated, self._approx
+                    if len(approx) < count:  # grow geometrically, up to n
+                        approx = np.empty(min(prefix.n, max(count, 2 * len(approx))))
+                        approx[:done] = self._approx[:done]
+                    block = self._columns.take(prefix.rows[done:count], axis=1)
+                    approx[done:count] = approximate_sums(block, self._weights)
+                    self._approx = approx
+                    self._approximated = count
+        return self._approx[:count]
 
     def _unranked(self, row: int) -> ScoringError:
         return ScoringError(
@@ -148,12 +257,12 @@ class FirstSeenPrefix:
     steps under the layout lock.  After a step that ends at depth ``D``:
 
     * ``rows[:count]`` are the rows seen by ``D`` (ranked at depth
-      ``<= D`` in some list), in the order the steps collected them, and
-      ``depths[:count]`` their first-seen depths (1-based) — final, since
-      every list has been read to ``D``;
-    * :meth:`through` gives ``count`` for the step covering a depth, so
-      the rows seen by depth ``p`` are those of ``rows[:through(p)]``
-      whose depth is ``<= p``;
+      ``<= D`` in some list), by first-seen depth (ties in the order the
+      step collected them), and ``depths[:count]`` their first-seen
+      depths (1-based), final, since every list has been read to ``D``;
+    * :meth:`through` gives ``count`` for the step covering a depth, and
+      :meth:`seen_by` the number of rows seen by a depth, so the rows
+      seen by depth ``p`` are ``rows[:seen_by(p)]``;
     * row ``p - 1`` of :meth:`threshold_scores` holds every list's local
       score at depth ``p``: TA's threshold argument.
 
@@ -171,7 +280,9 @@ class FirstSeenPrefix:
         "rows",
         "depths",
         "_lists",
+        "_magnitudes",
         "_first_seen",
+        "_seen",
         "_ends",
         "_counts",
         "_scores",
@@ -189,13 +300,16 @@ class FirstSeenPrefix:
         self.n = n
         #: row -> item id (ascending id order)
         self.ids: np.ndarray = database.uids_array
-        #: rows in collection order, ``count`` of them valid
+        #: rows by first-seen depth, ``count`` of them valid
         self.rows = np.empty(n, dtype=np.int64)
         #: first-seen depth of ``rows[i]``
         self.depths = np.empty(n, dtype=np.int64)
         self._lists = database.lists
+        self._magnitudes: list[float] | None = None
         #: row -> first-seen depth; unseen rows hold the sentinel n + 1
         self._first_seen = np.full(n, n + 1, dtype=np.int64)
+        #: depth -> how many rows it has seen, up to the collected depth
+        self._seen = np.zeros(n + 1, dtype=np.int64)
         #: step end depths and the rows collected by each, published
         #: counts first (readers index counts by a search over ends)
         self._ends = [0]
@@ -211,6 +325,16 @@ class FirstSeenPrefix:
         self._best: np.ndarray | None = None
         self._best_scores: np.ndarray | None = None
         self._best_depth = 0
+
+    def magnitudes(self) -> list[float]:
+        """Per list, its largest ``|score|`` (``n >= 1``): lists are
+        score-descending and NaN sorts last, so it sits at one of the
+        two ends.  Computed once."""
+        magnitudes = self._magnitudes
+        if magnitudes is None:
+            ends = [(lst.scores_array[0], lst.scores_array[-1]) for lst in self._lists]
+            magnitudes = self._magnitudes = np.abs(ends).max(axis=1).tolist()
+        return magnitudes
 
     def through(self, depth: int) -> int:
         """Extend to cover ``depth`` (``<= n``); the number of rows
@@ -235,9 +359,22 @@ class FirstSeenPrefix:
             self.rows[count : count + len(new)] = new
             count += len(new)
             self._scores[depth:end, i] = lst.scores_array[depth:end]
-        self.depths[start:count] = first_seen[self.rows[start:count]]
+        new = self.rows[start:count]
+        depths = first_seen[new]
+        order = np.argsort(depths, kind="stable")
+        self.rows[start:count] = new[order]
+        self.depths[start:count] = depths = depths[order]
+        self._seen[depth + 1 : end + 1] = start + np.searchsorted(
+            depths, block_depths, side="right"
+        )
         self._counts.append(count)
         self._ends.append(end)
+
+    def seen_by(self, depth: int) -> int:
+        """How many rows ``depth`` rounds have seen: the rows seen are
+        ``rows[:seen_by(depth)]``."""
+        self.through(depth)
+        return int(self._seen[depth])
 
     def threshold_scores(self, depth: int) -> np.ndarray:
         """``(n, m)``; row ``p - 1`` is the local scores at depth ``p``,
@@ -302,90 +439,70 @@ def stop_depth_search(
     after every round, or ``n`` when no depth does.  The answer is in
     :class:`TopKBuffer` order: score descending, then id ascending.
     """
-    covered = _Covered(prefix, memo)
-    if is_stock_sum(memo.scoring):
-        depth, bound = _gallop(covered, k, bound_scores)
+    margin = memo.margin(prefix)
+    if margin < math.inf:
+        depth, bound = _gallop(prefix, memo, margin, k, bound_scores)
     else:
-        depth, bound = _scan(covered, k, bound_scores)
-    return depth, bound, covered.top_k(k, depth)
+        depth, bound = _scan(prefix, memo, k, bound_scores)
+    return depth, bound, _top_k(prefix, memo, margin, k, depth)
 
 
-class _Covered:
-    """The rows of the prefix steps one search has reached, with their
-    totals (NaN where not scored yet)."""
+def _top_k(
+    prefix: FirstSeenPrefix, memo: TotalsMemo, margin: float, k: int, depth: int
+) -> tuple[ScoredItem, ...]:
+    """The k best rows seen by ``depth``: score descending, id ascending.
 
-    __slots__ = ("prefix", "memo", "totals", "count", "rows", "depths", "scored", "unscored")
-
-    def __init__(self, prefix: FirstSeenPrefix, memo: TotalsMemo) -> None:
-        self.prefix, self.memo = prefix, memo
-        self.totals = np.frombuffer(memo.totals, dtype=np.float64)
-        self.count = 0
-
-    def cover(self, depth: int) -> None:
-        """Reach the prefix step that covers ``depth``."""
-        count = self.prefix.through(depth)
-        if count > self.count:
-            self.count = count
-            self.rows = self.prefix.rows[:count]
-            self.depths = self.prefix.depths[:count]
-            self.scored = self.totals[self.rows]
-            self.unscored = bool(np.isnan(self.scored).any())
-
-    def hits(self, depth: int, bound: Score) -> int:
-        """How many scored rows seen by ``depth`` total at least ``bound``."""
-        return np.count_nonzero((self.depths <= depth) & (self.scored >= bound))
-
-    def score(self, depth: int) -> bool:
-        """Score the rows seen by ``depth`` that are not yet; whether any were."""
-        unfilled = (self.depths <= depth) & np.isnan(self.scored)
-        if not unfilled.any():
-            return False
-        self.memo.fill_rows(self.rows[unfilled])
-        self.scored = self.totals[self.rows]
-        self.unscored = bool(np.isnan(self.scored).any())
-        return True
-
-    def top_k(self, k: int, depth: int) -> tuple[ScoredItem, ...]:
-        """The k best rows seen by ``depth``: score descending, id ascending."""
-        self.cover(depth)
-        if self.unscored:
-            self.score(depth)
-        seen = self.depths <= depth
-        rows, scored = self.rows[seen], self.scored[seen]
-        kth = np.partition(scored, len(scored) - k)[len(scored) - k]
-        best = scored >= kth
-        rows, scored = rows[best], scored[best]
-        order = np.lexsort((rows, -scored))[:k]  # rows ascend with item ids
-        return tuple(
-            map(
-                ScoredItem,
-                self.prefix.ids[rows[order]].tolist(),
-                scored[order].tolist(),
-            )
-        )
+    With approximations (a finite ``margin``), a row whose approximation
+    falls more than ``2 * margin`` below the k-th approximation totals
+    less than the k-th total, so only the others are summed.  Without,
+    every row seen is (the per-depth search has filled them all).
+    """
+    seen = prefix.seen_by(depth)
+    rows = prefix.rows[:seen]
+    if margin < math.inf:
+        approx = memo.approximations(prefix, seen)
+        rows = rows[approx >= kth_largest(approx, k) - 2 * margin]
+    scored = memo.totals_of(rows)
+    best = scored >= kth_largest(scored, k)
+    rows, scored = rows[best], scored[best]
+    order = np.lexsort((rows, -scored))[:k]  # rows ascend with item ids
+    return tuple(
+        map(ScoredItem, prefix.ids[rows[order]].tolist(), scored[order].tolist())
+    )
 
 
-def _gallop(covered: _Covered, k: int, bound_scores: BoundScores) -> tuple[int, Score]:
+def _gallop(
+    prefix: FirstSeenPrefix,
+    memo: TotalsMemo,
+    margin: float,
+    k: int,
+    bound_scores: BoundScores,
+) -> tuple[int, Score]:
     """Galloping search, then bisection, for a bound that never rises.
 
     Starts at the first depth with ``k`` seen rows and probes ``p, p+1,
     p+3, p+7, ...`` until the stop test holds, then bisects between the
-    last two probes.  A probe counts only rows whose totals are filled,
-    and fills the rest only when those fall short of ``k``, so a probe
-    past ``p*`` seldom scores rows the answer does not need.
+    last two probes.  A probe counts rows by their approximations: one
+    at least ``margin`` above the bound totals at least the bound, one
+    more than ``margin`` below it totals less.  Only when the rows above
+    fall short of ``k`` and the band between could make up the rest are
+    the band's rows summed, so a probe seldom sums any row.
     """
-    n, scoring = covered.prefix.n, covered.memo.scoring
+    n, scoring = prefix.n, memo.scoring
 
     def holds(depth: int) -> tuple[bool, Score]:
-        covered.cover(depth)
+        seen = prefix.seen_by(depth)
+        approx = memo.approximations(prefix, prefix.through(depth))[:seen]
         bound = scoring(bound_scores(depth)[depth - 1].tolist())
-        hits = covered.hits(depth, bound)
-        if hits < k and covered.unscored and covered.score(depth):
-            hits = covered.hits(depth, bound)  # with the rows just scored
+        high, low = bound + margin, bound - margin
+        hits = np.count_nonzero(approx >= high)
+        if hits < k and np.count_nonzero(approx >= low) >= k:
+            band = prefix.rows[:seen][(approx >= low) & (approx < high)]
+            hits += np.count_nonzero(memo.totals_of(band) >= bound)
         return hits >= k, bound
 
-    covered.cover(k)  # depth k has seen at least k rows
-    low = int(np.partition(covered.depths, k - 1)[k - 1]) - 1  # < k seen
+    prefix.through(k)  # depth k has seen at least k rows
+    low = int(prefix.depths[k - 1]) - 1  # the deepest depth with fewer
     probe, stride = low + 1, 1
     while True:
         stop, bound = holds(probe)
@@ -403,14 +520,15 @@ def _gallop(covered: _Covered, k: int, bound_scores: BoundScores) -> tuple[int, 
     return high, high_bound
 
 
-def _scan(covered: _Covered, k: int, bound_scores: BoundScores) -> tuple[int, Score]:
+def _scan(
+    prefix: FirstSeenPrefix, memo: TotalsMemo, k: int, bound_scores: BoundScores
+) -> tuple[int, Score]:
     """Depth by depth, one scalar bound call each, for any scoring.
 
     Rows are scored in first-seen order, so a scoring that fails (or
     returns NaN) on some row fails exactly when the reference algorithm
     would reach that row.
     """
-    prefix, memo = covered.prefix, covered.memo
     n, scoring = prefix.n, memo.scoring
     totals, fill = memo.totals, memo.fill
     kept: list[Score] = []  # min-heap of the k best totals seen
@@ -418,9 +536,8 @@ def _scan(covered: _Covered, k: int, bound_scores: BoundScores) -> tuple[int, Sc
     while True:
         end = step_end(depth, n)
         start, stop = prefix.through(depth), prefix.through(end)
-        order = np.argsort(prefix.depths[start:stop], kind="stable")
-        rows = prefix.rows[start:stop][order].tolist()
-        firsts = prefix.depths[start:stop][order].tolist()
+        rows = prefix.rows[start:stop].tolist()
+        firsts = prefix.depths[start:stop].tolist()
         arguments = bound_scores(end)[depth:end].tolist()
         index = 0
         for depth, argument in enumerate(arguments, start=depth + 1):

@@ -27,10 +27,17 @@ interpreted call per column:
    close to a rounding midpoint to certify.  Such columns are rare on
    real data: none of 60 million uniform columns (m = 3, 4 and 7, plain
    and weighted) was one.
+
+Most decisions need no exact sum at all: a comparison of a column's
+sum with some value is settled by :func:`approximate_sums` (a plain
+NumPy sum of the same products) whenever the two lie further apart
+than :func:`approximation_margin`, which bounds the approximation's
+error for every column of one database at once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +86,58 @@ def certified_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         certified &= (bound == 0) | clear
     certified &= total != 0
     return total, certified
+
+
+def approximate_sums(scores: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Column sums of the ``(m, r)`` block ``scores``, or of
+    ``weights * scores`` for an ``(m, 1)`` column of weights, in one
+    NumPy pass, each addition rounded.
+
+    The terms are :func:`fsum_columns`' terms: the same IEEE products
+    ``w * s``, elementwise, never a dot product (which may fuse a
+    multiply and an add, and so round differently).  Within
+    :func:`approximation_margin` of ``math.fsum`` of each column.
+    """
+    terms = scores if weights is None else weights * scores
+    return terms.sum(axis=0)
+
+
+def approximation_margin(
+    magnitudes: Sequence[float], weights: Sequence[float] | None
+) -> float:
+    """``mu`` with ``|approximate_sums - fsum| <= mu / 2`` on every column
+    whose term ``i`` is a score of magnitude at most ``magnitudes[i]``,
+    times ``weights[i]`` (``1`` when ``weights`` is ``None``).
+
+    ``mu = 4 * m * 2**-53 * S`` with ``S = sum(|w_i| * M_i)``.  With
+    ``u = 2**-53`` and the products ``p_i = RN(w_i * s_i)``, which both
+    sums add: each of the ``m - 1`` additions of the NumPy sum errs by at
+    most ``u`` times its result, so by at most ``u * sum(|p_i|)``, and
+    ``fsum`` errs by at most ``u * |sum(p_i)|`` — ``m * u * sum(|p_i|)``
+    in all, whatever the order of the additions.  ``|p_i| <= (1 + u) *
+    |w_i| * M_i`` where the product is normal; an underflowing product
+    can exceed ``|w_i * s_i|`` by half the smallest subnormal, but a sum
+    of subnormals is exact and ``fsum``'s result is then representable,
+    so the error is nonzero only when ``sum(|p_i|) >= 2**-1022`` and that
+    excess is negligible.  So the error is at most ``m * u * S`` plus
+    terms of order ``m * u**2 * S`` (the rounding of ``S`` and of ``mu``
+    included), which ``mu / 2`` covers twice over.  The other factor of
+    two leaves room for the rounding of ``approx +- mu`` and
+    ``approx +- 2 * mu`` in the comparisons that use it.  The largest
+    error measured on random, wide-exponent and subnormal data was
+    ``0.13 * mu``.
+
+    Infinite when ``S`` is not below :data:`SAFE_MAGNITUDE` — a ±inf or
+    NaN magnitude, or terms large enough that ``math.fsum`` may
+    overflow: such a database must score every row exactly.  Plain
+    Python floats, since ``m`` is small: a product or sum that overflows
+    is ``inf`` and ``0 * inf`` is NaN, never an exception.
+    """
+    terms = magnitudes if weights is None else map(float.__mul__, weights, magnitudes)
+    scale = sum(terms)
+    if not scale < SAFE_MAGNITUDE:
+        return math.inf
+    return scale * (4 * len(magnitudes) * 2.0**-53)
 
 
 def fsum_columns(

@@ -34,10 +34,14 @@ from a certified walk down the lists (:class:`ListStatistics`), not a
 sort of all ``n`` totals.  The walk reads the snapshot's first-seen
 prefix (:meth:`repro.columnar.ColumnarDatabase.first_seen_prefix`), the
 same one the TA and BPA kernels search for their stop depths, and the
-rows it scores land in the snapshot's totals memo
-(:meth:`repro.columnar.ColumnarDatabase.totals_memo`), where the kernels
-find them, so a scoring pays for roughly the rows above its stop depth,
-once.  Specs that force an algorithm skip the estimate
+snapshot's totals memo (:meth:`repro.columnar.ColumnarDatabase.totals_memo`),
+where the kernels find what it left.  For the stock sums it certifies
+on the memo's approximate totals, computed once along the prefix and
+shared with the kernels, and sums exactly only the rows that can reach
+the k-th total (about ``k``, in one batch), which are the rows the
+kernel's answer needs; every other scoring fills each row it reaches,
+so it pays for roughly the rows above its stop depth, once.  Specs
+that force an algorithm skip the estimate
 unless adaptive feedback or a network-transport decision reads it.
 Statistics and memoized plans are kept for at most
 :func:`repro.columnar.scoring_capacity` entries each (oldest out), as
@@ -55,6 +59,7 @@ import numpy as np
 from repro.algorithms.base import get_algorithm
 from repro.analysis.model import expected_best_position_advance
 from repro.columnar import ColumnarDatabase, scoring_capacity, step_end
+from repro.columnar.walk import kth_largest
 from repro.errors import InvalidQueryError
 from repro.exec.keys import QuerySpec, freeze_value, scoring_key
 from repro.scoring import SUM, ScoringFunction
@@ -289,15 +294,25 @@ class ListStatistics:
 
     :meth:`kth_total` walks the lists top-down through the snapshot's
     first-seen prefix (:meth:`ColumnarDatabase.first_seen_prefix`, the
-    same walk the TA and BPA kernels search), scoring each step's newly
-    reached rows through the snapshot's totals memo, and stops at the
-    first walked depth ``D`` where the k-th best total seen is at least
+    same walk the TA and BPA kernels search) and stops at the first
+    walked depth ``D`` where the k-th best total seen is at least
     :meth:`threshold_at` ``(D)`` — an unseen row ranks below ``D`` in
     every list, so by monotonicity it scores at most that threshold, and
     the k-th best seen is the exact k-th best.  The walk is resumable:
-    one walk serves every ``k``, a larger ``k`` resumes it deeper (steps
-    grow with the depth, :func:`repro.columnar.step_end`), and an
-    already-certified ``k`` is one index into the sorted walked totals.
+    one walk serves every ``k``, and a larger ``k`` resumes it deeper
+    (steps grow with the depth, :func:`repro.columnar.step_end`).
+
+    A stock sum with a finite margin (:meth:`repro.columnar.TotalsMemo.margin`)
+    walks the memo's approximations, not its totals, one step at a time
+    like any walk, so it pays for its own stop depth whatever depth
+    earlier queries left the prefix at.  A ``k`` is certified at ``D``
+    when the k-th approximation clears the threshold by the margin, or,
+    inside that band, when the exact k-th total reaches it.  The only
+    rows summed exactly are those whose approximations come within twice
+    the margin of the k-th approximation or above it: the k best and the
+    few that might tie them, which are the rows the kernel's answer
+    sums.  Any other scoring fills every row it reaches and keeps the
+    walked totals sorted, so an already-certified ``k`` is one index.
     """
 
     __slots__ = (
@@ -307,9 +322,11 @@ class ListStatistics:
         "_prefix",
         "_score_arrays",
         "_memo",
-        "_totals",
+        "_approximate",
+        "_margin",
         "_depth",
-        "_walked",
+        "_values",
+        "_threshold",
         "_certified",
         "_thresholds",
     )
@@ -323,12 +340,18 @@ class ListStatistics:
         self._prefix = database.first_seen_prefix()
         self._score_arrays = [lst.scores_array for lst in database.lists]
         self._memo = database.totals_memo(scoring)
-        #: the memo's totals, in place (NaN = not scored yet)
-        self._totals = np.frombuffer(self._memo.totals, dtype=np.float64)
+        margin = self._memo.margin(self._prefix)
+        #: whether the walk reads approximations or totals, and how far
+        #: a walked value may lie from its row's total
+        self._approximate = margin < math.inf
+        self._margin = margin if self._approximate else 0.0
         #: positions walked in every list
         self._depth = 0
-        #: totals of the reached rows, ascending
-        self._walked = np.empty(0, dtype=np.float64)
+        #: the values of the rows seen by ``_depth``: approximations in
+        #: prefix order, or exact totals ascending
+        self._values = np.empty(0, dtype=np.float64)
+        #: the threshold at ``_depth``
+        self._threshold = math.inf
         #: every k up to this one is certified at the current depth
         self._certified = 0
         #: position -> threshold (binary searches for different k
@@ -350,31 +373,48 @@ class ListStatistics:
         if not 1 <= k <= self._n:
             raise InvalidQueryError(f"k must be in 1..{self._n}, got {k}")
         while self._certified < k:
+            values = self._values
+            if (
+                self._approximate
+                and len(values) >= k
+                and kth_largest(values, k) >= self._threshold - self._margin
+            ):
+                # inside the band: the exact k-th total decides
+                total = self._kth_seen(k)
+                if total >= self._threshold:
+                    self._certified = k
+                    return total
             self._walk()
-        return float(self._walked[-k])
+        return self._kth_seen(k)
 
     def _walk(self) -> None:
         """Walk one step deeper and re-certify."""
-        depth = self._depth
-        end = step_end(depth, self._n)
-        prefix = self._prefix
-        rows = prefix.rows[prefix.through(depth) : prefix.through(end)]
-        totals = self._totals[rows]
-        unscored = np.isnan(totals)
-        if unscored.any():
-            self._memo.fill_rows(rows[unscored])
-            totals = self._totals[rows]
-        walked = np.concatenate((self._walked, totals))
-        walked.sort()
-        self._walked = walked
-        self._depth = end
-        if end == self._n:
-            self._certified = self._n
+        prefix, n, values = self._prefix, self._n, self._values
+        end = step_end(self._depth, n)
+        count = prefix.through(end)  # the rows seen by ``end``, a step end
+        if self._approximate:
+            values = self._memo.approximations(prefix, count)
         else:
-            threshold = self.threshold_at(end)
-            self._certified = len(walked) - int(
-                np.searchsorted(walked, threshold, side="left")
-            )
+            reached = self._memo.totals_of(prefix.rows[len(values) : count])
+            values = np.concatenate((values, reached))
+            values.sort()
+        threshold = self.threshold_at(end) if end < n else -math.inf
+        self._values, self._depth, self._threshold = values, end, threshold
+        self._certified = int(np.count_nonzero(values >= threshold + self._margin))
+
+    def _kth_seen(self, k: int) -> float:
+        """The exact k-th best total of the rows seen by ``_depth``.
+
+        Every total that high belongs to a row whose approximation comes
+        within twice the margin of the k-th approximation or above it,
+        so only those rows are summed.
+        """
+        values = self._values
+        if not self._approximate:
+            return float(values[-k])
+        cut = kth_largest(values, k) - 2 * self._margin
+        totals = self._memo.totals_of(self._prefix.rows[: len(values)][values >= cut])
+        return float(kth_largest(totals, k))
 
     def threshold_at(self, position: int) -> float:
         """TA's threshold after ``position`` rounds of sorted access."""

@@ -1185,10 +1185,19 @@ class QueryService:
         ``answers_match`` contract), while reverse membership is defined
         bit-exactly against the ``(-score, id)`` order.  Fresh merges
         are canonical, so the returned entries decide membership by
-        plain lookup.
+        plain lookup.  The query is forced, so its plan skips the
+        planner walk unless a network-transport decision reads the
+        estimate.  On the local transport it is forced to BPA, whose
+        kernel is the stop-depth search: it never stops deeper than TA
+        and builds no scalar layout.  Over the network it is forced to
+        BPA2, whose direct accesses send fewer messages than BPA's
+        sorted and random ones.
         """
-        spec = QuerySpec(algorithm="bpa2", k=k, scoring=scoring)
+        spec = QuerySpec(algorithm="bpa", k=k, scoring=scoring)
         plan = self._planner.plan(spec, cache_enabled=False)
+        if plan.transport != "local":
+            spec = QuerySpec(algorithm="bpa2", k=k, scoring=scoring)
+            plan = self._planner.plan(spec, cache_enabled=False)
         full = self._execute_plan(plan, spec)
         return self._truncate(full, plan).items
 

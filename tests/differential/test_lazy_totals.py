@@ -15,9 +15,11 @@ must give exactly what the eager full scan gave:
   carried memo equals a fresh fill row for row;
 * a seeded grid of plans and shard decisions is identical under the
   walk and under the full-scan reference;
-* the stock sums fill a walk step's rows through their batch form, so
-  their only scalar calls are ``threshold_at`` probes, while a subclass
-  keeps its per-row calls.
+* a fresh stock-sum query, planned or forced, sums exactly only the
+  rows whose approximations come within ``2 * mu`` of the k-th
+  approximation or above it, in one batch, and its only scalar calls
+  are ``threshold_at`` probes and one bound per search probe, while a
+  subclass keeps its per-row calls.
 
 Databases come from every datagen family plus tie-heavy matrices.
 """
@@ -31,7 +33,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ColumnarDatabase, get_kernel, patch_database
+from repro.algorithms.base import get_algorithm
+from repro.columnar import ColumnarDatabase, TotalsMemo, get_kernel, patch_database
 from repro.datagen import make_generator
 from repro.dynamic.database import MutationEvent
 from repro.errors import InvalidQueryError
@@ -121,22 +124,25 @@ class TestCertifiedWalk:
         for position in range(1, columnar.n + 1):
             assert lazy.threshold_at(position) == full.threshold_at(position)
 
-    def test_walk_scores_only_rows_above_its_stop_depth(self):
-        columnar = ColumnarDatabase.from_database(
-            make_generator("uniform").generate(4000, 3, seed=2)
-        )
+    def test_walk_sums_only_rows_that_can_reach_the_kth_total(self):
+        plain = make_generator("uniform").generate(4000, 3, seed=2)
+        columnar = ColumnarDatabase.from_database(plain)
         stats = ListStatistics(columnar, SUM)
-        stats.kth_total(10)
+        full = FullScanStatistics(ColumnarDatabase.from_database(plain), SUM)
+        assert stats.kth_total(10) == full.kth_total(10)
         depth = stats._depth
         assert depth < columnar.n // 4
-        totals = columnar.totals_memo(SUM).totals
-        filled = {row for row, total in enumerate(totals) if not math.isnan(total)}
+        prefix = columnar.first_seen_prefix()
+        seen = prefix.seen_by(depth)
         reached = {
             row
             for lst in columnar.lists
             for row in lst.rows_of(lst.items_array[:depth]).tolist()
         }
-        assert filled == reached
+        assert set(prefix.rows[:seen].tolist()) == reached
+        memo = columnar.totals_memo(SUM)
+        assert candidate_rows(columnar, SUM, depth, 10) == filled_rows(memo)
+        assert 10 <= len(filled_rows(memo)) < 20
 
     def test_a_failed_step_leaves_the_walk_as_it_was(self):
         class Flaky:
@@ -166,40 +172,88 @@ class TestCertifiedWalk:
                 stats.kth_total(k)
 
 
-class TestBatchFills:
-    """The stock sums fill a walk step's rows in one batch."""
+def filled_rows(memo) -> set[int]:
+    return {row for row, total in enumerate(memo.totals) if not math.isnan(total)}
 
+
+def candidate_rows(columnar, scoring, depth: int, k: int) -> set[int]:
+    """The rows seen by ``depth`` whose approximations come within twice
+    the margin of the k-th approximation, or above it."""
+    memo = columnar.totals_memo(scoring)
+    prefix = columnar.first_seen_prefix()
+    seen = prefix.seen_by(depth)
+    approx = memo.approximations(prefix, seen)
+    kth = np.sort(approx)[-k]
+    return set(prefix.rows[:seen][approx >= kth - 2 * memo.margin(prefix)].tolist())
+
+
+class TestBatchFills:
+    """A fresh stock-sum query sums about ``k`` rows, in one batch."""
+
+    @pytest.mark.parametrize("how", ["planned", "ta", "bpa"])
     @pytest.mark.parametrize(
         "make_scoring",
         [lambda: SUM, lambda: WeightedSumScoring([0.4, 0.9, 0.1, 0.7])],
         ids=["sum", "wsum"],
     )
-    def test_walk_makes_no_per_row_scalar_calls(self, make_scoring, monkeypatch):
+    def test_a_fresh_query_makes_one_exact_batch(self, make_scoring, how, monkeypatch):
         scoring = make_scoring()
-        calls = []
-        scalar = type(scoring).__call__
+        plain = make_generator("uniform").generate(2000, 4, seed=3)
+        columnar = ColumnarDatabase.from_database(plain)
+        k, probes = 20, []
+        references = {name: get_algorithm(name).run(plain, k, scoring) for name in ("ta", "bpa")}
+        calls, batches = [], []
+        scalar, fill_rows = type(scoring).__call__, TotalsMemo.fill_rows
 
         def counted(self, scores):
             calls.append(list(scores))
             return scalar(self, scores)
 
-        # patched on the class, as the service benchmark's tracer does
+        def recorded(self, rows):
+            batches.append(rows.tolist())
+            return fill_rows(self, rows)
+
+        # patched on the classes, as the service benchmark's tracer does
         monkeypatch.setattr(type(scoring), "__call__", counted)
-        columnar = ColumnarDatabase.from_database(
-            make_generator("uniform").generate(2000, 4, seed=3)
-        )
-        stats = ListStatistics(columnar, scoring)
-        stats.kth_total(20)
-        totals = np.frombuffer(columnar.totals_memo(scoring).totals)
-        assert np.count_nonzero(~np.isnan(totals)) > 100
-        probes = [
-            [float(lst.scores_array[position - 1]) for lst in columnar.lists]
-            for position in stats._thresholds
-        ]
-        assert calls == probes  # only threshold_at's probes call the scoring
-        for row, column in enumerate(columnar.score_matrix().T.tolist()):
-            if not math.isnan(totals[row]):
-                assert totals[row].hex() == scalar(scoring, column).hex()
+        monkeypatch.setattr(TotalsMemo, "fill_rows", recorded)
+        if how == "planned":
+            planner = QueryPlanner(columnar)
+            name = planner.plan(QuerySpec("auto", k, scoring), cache_enabled=False).algorithm
+            statistics = planner.statistics(scoring)
+            probes = [
+                [float(lst.scores_array[position - 1]) for lst in columnar.lists]
+                for position in statistics._thresholds
+            ]
+        else:
+            name = how
+        assert name in ("ta", "bpa")
+        result = get_kernel(name)(columnar, k, scoring)
+        assert result == references[name]
+        assert result.extras == references[name].extras
+
+        # one batch: the rows that can reach the k-th total, at the depth
+        # of whoever summed them
+        depth = statistics._depth if how == "planned" else result.stop_position
+        assert len(batches) == 1
+        assert set(batches[0]) == candidate_rows(columnar, scoring, depth, k)
+        assert k <= len(batches[0]) < 2 * k
+        memo = columnar.totals_memo(scoring)
+        assert filled_rows(memo) == set(batches[0])
+        for row in batches[0]:
+            column = columnar.score_matrix()[:, row].tolist()
+            assert memo.totals[row].hex() == scalar(scoring, column).hex()
+
+        # scalar calls: the planner's threshold probes, then one bound per
+        # search probe, each the bound's argument at some depth
+        prefix = columnar.first_seen_prefix()
+        assert calls[: len(probes)] == probes
+        bounds = calls[len(probes) :]
+        n = columnar.n
+        arguments = (
+            prefix.threshold_scores(n) if name == "ta" else prefix.lambda_scores(n)
+        ).tolist()
+        assert all(argument in arguments for argument in bounds)
+        assert 1 <= len(bounds) <= 2 * math.ceil(math.log2(result.stop_position + 1)) + 1
 
     def test_a_subclass_keeps_its_own_per_row_calls(self):
         class Doubled(SumScoring):

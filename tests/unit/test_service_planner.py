@@ -449,5 +449,64 @@ class TestForcedSpecsSkipTheEstimate:
             item = service.submit(QuerySpec("bpa2", 1)).item_ids[0]
             result = service.submit_reverse(item, 5)
             assert result.stats.fallbacks > 0
-            # every fallback forced bpa2: no scoring walked the lists
+            # every fallback forced bpa: no scoring walked the lists
             assert len(service.planner._statistics) == 0
+
+    def test_networked_reverse_fallbacks_force_bpa2(self, columnar, monkeypatch):
+        from repro.reverse import brute_force_reverse_topk
+        from repro.service import QueryService, ServicePolicy
+
+        plans = []
+        execute = QueryService._execute_plan
+
+        def recorded(self, plan, spec):
+            plans.append((plan.algorithm, plan.transport))
+            return execute(self, plan, spec)
+
+        monkeypatch.setattr(QueryService, "_execute_plan", recorded)
+        policy = ServicePolicy(transport="network")
+        with QueryService(columnar, shards=1, pool="serial", policy=policy) as service:
+            registry = service.reverse_registry
+            registry.seed_users(12, columnar.m, seed=4)
+            item = service.submit(QuerySpec("bpa2", 1)).item_ids[0]
+            plans.clear()
+            result = service.submit_reverse(item, 5)
+        assert result.stats.fallbacks > 0
+        assert result.users == brute_force_reverse_topk(columnar, registry, item, 5)
+        # BPA2's direct accesses send fewer messages than BPA's
+        assert len(plans) == result.stats.fallbacks
+        assert all(name == "bpa2" and how.startswith("network-") for name, how in plans)
+
+    def test_reverse_only_service_builds_no_scalar_layout(self, monkeypatch):
+        from repro.columnar.database import DatabaseLayout
+        from repro.reverse import brute_force_reverse_topk
+        from repro.service import QueryService
+        from repro.service.workload import dynamic_from
+
+        layouts = []
+        build, patched = DatabaseLayout.__init__, DatabaseLayout.patched.__func__
+
+        def counted_build(self, database):
+            layouts.append("build")
+            build(self, database)
+
+        def counted_patch(cls, previous, database, touched):
+            layouts.append("patched")
+            return patched(cls, previous, database, touched)
+
+        monkeypatch.setattr(DatabaseLayout, "__init__", counted_build)
+        monkeypatch.setattr(DatabaseLayout, "patched", classmethod(counted_patch))
+        source = dynamic_from(UniformGenerator().generate(400, 3, seed=6))
+        ids = sorted(source.item_ids)
+        fallbacks = 0
+        with QueryService(source, shards=1, pool="serial") as service:
+            registry = service.reverse_registry
+            registry.seed_users(16, 3, seed=2)
+            for step in range(8):
+                source.update_score(step % 3, ids[7 * step], 0.5 + 0.05 * step)
+                item = service.submit(QuerySpec("ta", 1 + step)).item_ids[-1]
+                result = service.submit_reverse(item, 5)
+                fallbacks += result.stats.fallbacks
+                assert result.users == brute_force_reverse_topk(source, registry, item, 5)
+        assert fallbacks > 0
+        assert layouts == []
