@@ -56,22 +56,20 @@ class _BlockAlgorithm(TopKAlgorithm):
 
     @staticmethod
     def _probe(
-        accessor: DatabaseAccessor, needs: list[list[ItemId]]
-    ) -> tuple[dict[int, dict[ItemId, Score]], list[list[Position]]]:
-        """Batched probes per list; returns scores by item and positions."""
-        probes: dict[int, dict[ItemId, Score]] = {}
-        positions: list[list[Position]] = []
-        for j, items in enumerate(needs):
+        accessor: DatabaseAccessor, block: BlockRound
+    ) -> list[list[tuple[Score, Position]]]:
+        """Batched probes per list for the round's needs, filled into
+        ``block``; returns each list's ``(score, position)`` pairs."""
+        probed: list[list[tuple[Score, Position]]] = []
+        for j, items in enumerate(block.probe_needs()):
             if items:
-                scores, pos = accessor[j].lookup_many(items)
-                probes[j] = {
-                    item: float(score) for item, score in zip(items, scores)
-                }
-                positions.append([int(p) for p in pos])
+                scores, positions = accessor[j].lookup_many(items)
+                pairs = [(float(s), int(p)) for s, p in zip(scores, positions)]
+                block.fill(j, items, pairs)
+                probed.append(pairs)
             else:
-                probes[j] = {}
-                positions.append([])
-        return probes, positions
+                probed.append([])
+        return probed
 
 
 @register
@@ -90,19 +88,14 @@ class BlockTA(_BlockAlgorithm):
         while True:
             rounds += 1
             count = min(self._width, n - position)
-            block = BlockRound(m)
+            block = BlockRound(m, seen)
             for i in range(m):
                 entries = accessor[i].sorted_block(count)
                 last[i] = entries[-1].score
-                for entry in entries:
-                    block.add(i, entry.item, entry.score)
+                block.add(i, [(entry.item, entry.score) for entry in entries])
             position += count
-            new_items = block.new_items(seen)
-            seen.update(new_items)
-            needs = block.probe_needs(new_items)
-            probes, _positions = self._probe(accessor, needs)
-            for item in new_items:
-                buffer.add(item, scoring(block.local_scores(item, probes)))
+            self._probe(accessor, block)
+            block.complete(buffer, scoring)
             threshold = scoring(last)
             if buffer.all_at_least(threshold) or position >= n:
                 return buffer.ranked(), rounds, position, {
@@ -133,21 +126,17 @@ class BlockBPA(_BlockAlgorithm):
         while True:
             rounds += 1
             count = min(self._width, n - position)
-            block = BlockRound(m)
+            block = BlockRound(m, seen)
             for i in range(m):
-                for entry in accessor[i].sorted_block(count):
+                entries = accessor[i].sorted_block(count)
+                for entry in entries:
                     note(i, entry.position, entry.score)
-                    block.add(i, entry.item, entry.score)
+                block.add(i, [(entry.item, entry.score) for entry in entries])
             position += count
-            new_items = block.new_items(seen)
-            seen.update(new_items)
-            needs = block.probe_needs(new_items)
-            probes, probe_positions = self._probe(accessor, needs)
-            for j in range(m):
-                for item, pos in zip(needs[j], probe_positions[j]):
-                    note(j, pos, probes[j][item])
-            for item in new_items:
-                buffer.add(item, scoring(block.local_scores(item, probes)))
+            for j, probed in enumerate(self._probe(accessor, block)):
+                for score, pos in probed:
+                    note(j, pos, score)
+            block.complete(buffer, scoring)
             lam = scoring(
                 [seen_scores[i][trackers[i].best_position] for i in range(m)]
             )
@@ -181,29 +170,26 @@ class BlockBPA2(_BlockAlgorithm):
         while True:
             rounds += 1
             progressed = False
-            block = BlockRound(m)
+            block = BlockRound(m, seen)
             for i in range(m):
                 if exhausted[i]:
                     continue
+                surfaced = []
                 for _ in range(self._width):
                     pos = trackers[i].best_position + 1
                     if pos > n:
                         break
                     entry = accessor[i].direct_at(pos)
                     trackers[i].mark(pos)
-                    block.add(i, entry.item, entry.score)
+                    surfaced.append((entry.item, entry.score))
                     progressed = True
+                block.add(i, surfaced)
                 if trackers[i].best_position >= n:
                     exhausted[i] = True
-            new_items = block.new_items(seen)
-            seen.update(new_items)
-            needs = block.probe_needs(new_items)
-            probes, probe_positions = self._probe(accessor, needs)
-            for j in range(m):
-                for pos in probe_positions[j]:
+            for j, probed in enumerate(self._probe(accessor, block)):
+                for _score, pos in probed:
                     trackers[j].mark(pos)
-            for item in new_items:
-                buffer.add(item, scoring(block.local_scores(item, probes)))
+            block.complete(buffer, scoring)
             lam = scoring(
                 [
                     _INF

@@ -1354,6 +1354,14 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
                       f"max {latency['max_us']}us")
             else:
                 print("  latency: no ops served yet")
+            frames = metrics.get("frames") or {}
+            if frames.get("count"):
+                print(f"  frames: {frames['count']:,} served; summed "
+                      f"decode {frames['decode_seconds'] * 1e3:.3f}ms  "
+                      f"handle {frames['handle_seconds'] * 1e3:.3f}ms  "
+                      f"encode {frames['encode_seconds'] * 1e3:.3f}ms")
+            else:
+                print("  frames: none served yet")
     if args.suggest_placement:
         from repro.distributed.placement import (
             ClusterPlacement,

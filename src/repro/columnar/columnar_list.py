@@ -38,6 +38,7 @@ from repro.errors import (
     InvalidPositionError,
     UnknownItemError,
 )
+from repro.lists.accessor import ListMirrors
 from repro.types import ItemId, ListEntry, Position, Score
 
 _INT64 = np.dtype(np.int64)
@@ -62,6 +63,7 @@ class ColumnarList:
         "_n",
         "_items_list",
         "_scores_list",
+        "_mirrors",
     )
 
     def __init__(
@@ -108,6 +110,7 @@ class ColumnarList:
         # first use.
         self._items_list: list[int] | None = None
         self._scores_list: list[float] | None = None
+        self._mirrors: ListMirrors | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -176,6 +179,7 @@ class ColumnarList:
         instance._n = instance._items.shape[0]
         instance._items_list = None
         instance._scores_list = None
+        instance._mirrors = None
         return instance
 
     @classmethod
@@ -235,6 +239,16 @@ class ColumnarList:
         if scores is None:
             scores = self._scores_list = self._scores.tolist()
         return scores
+
+    def mirrors(self) -> ListMirrors:
+        """Plain-list mirrors by position plus an id -> position dict,
+        built on first use and kept (the list owners serve from them)."""
+        mirrors = self._mirrors
+        if mirrors is None:
+            mirrors = self._mirrors = ListMirrors.build(
+                self._items.tolist(), self._scores.tolist()
+            )
+        return mirrors
 
     # ------------------------------------------------------------------
     # Scalar access primitives (SortedList-compatible)

@@ -247,14 +247,17 @@ def fast_bpa2(
                 heapreplace(heap, entry)
                 root = heap[0]
 
-        if (root is not None and root[0] >= scoring(bp_scores)) or not progressed:
+        # lambda every round, as the reference's stop test computes it
+        # before it looks at the buffer (a lambda that raises raises).
+        lam = scoring(bp_scores)
+        if (root is not None and root[0] >= lam) or not progressed:
             total_new = sum(new_from)
             random_counts = [total_new - new_from[j] for j in range(m)]
             tally = AccessTally(
                 random=sum(random_counts), direct=sum(direct_counts)
             )
             extras = {
-                "lambda": scoring(bp_scores),
+                "lambda": lam,
                 "best_positions": tuple(bp),
                 "per_list_accesses": tuple(
                     direct_counts[i] + random_counts[i] for i in range(m)

@@ -22,16 +22,17 @@ two extensions:
 
 Observability (the ``/metrics`` idiom)
     The daemon counts served ops per kind and reservoir-samples per-op
-    service latency (Algorithm R, ``latency_sample_k`` samples).  A
-    ``state`` request with ``{"metrics": true}`` returns them with
-    p50/p90/p99/max quantiles — read it with ``repro-topk cluster
-    stats``.  Metrics frames are control-plane and never counted in
-    wire stats.
+    service latency (Algorithm R, ``latency_sample_k`` samples).  An
+    owner process's socket loop also times every frame it serves in
+    three stages, decode, handle and encode, and the daemon sums them
+    (``frames`` in the document).  A ``state`` request with
+    ``{"metrics": true}`` returns them with p50/p90/p99/max quantiles —
+    read it with ``repro-topk cluster stats``.  Metrics frames are
+    control-plane and never counted in wire stats.
 
 Each hosted list is served by one :class:`ListOwnerNode`, which answers
-batched lookups and sorted blocks straight from columnar arrays when
-the source has them.  A ``reset`` without a ``"list"`` field resets
-every hosted node, ready for the next query.
+every request from the list's plain-list mirrors.  A ``reset`` without
+a ``"list"`` field resets every hosted node, ready for the next query.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class LatencyReservoir:
         if len(self._samples) < self._k:
             self._samples.append(seconds)
             return
-        slot = self._rng.randrange(self.count)
+        # A uniform slot in [0, count): ``random()`` is one C call, where
+        # ``randrange`` costs more than the op it samples.
+        slot = int(self._rng.random() * self.count)
         if slot < self._k:
             self._samples[slot] = seconds
 
@@ -152,6 +155,10 @@ class OwnerDaemon:
         self.list_seconds: dict[int, float] = {
             index: 0.0 for index in list_indices
         }
+        #: frames the owner process's socket loop served, and their
+        #: summed decode, handle and encode seconds
+        self.frames = 0
+        self.frame_seconds = {"decode": 0.0, "handle": 0.0, "encode": 0.0}
 
     @property
     def hosted(self) -> tuple[int, ...]:
@@ -199,7 +206,7 @@ class OwnerDaemon:
         self.latency.record(elapsed)
         self.op_counts[kind] += 1
         self.list_ops[index] += 1
-        self.list_seconds[index] = self.list_seconds.get(index, 0.0) + elapsed
+        self.list_seconds[index] += elapsed
         return response
 
     def _route(self, payload: dict) -> tuple[int, ListOwnerNode]:
@@ -212,6 +219,14 @@ class OwnerDaemon:
             )
         return index, self.node_for(index)
 
+    def record_frame(self, decode: float, handle: float, encode: float) -> None:
+        """Account one frame the socket loop served, in seconds per stage."""
+        self.frames += 1
+        seconds = self.frame_seconds
+        seconds["decode"] += decode
+        seconds["handle"] += handle
+        seconds["encode"] += encode
+
     def metrics(self) -> dict:
         """The stats endpoint: per-kind op counts + latency quantiles.
 
@@ -219,9 +234,18 @@ class OwnerDaemon:
         so a rebalancer sees the whole hosted set, not just the hot
         part): op count and summed service seconds — the observed
         latency mass :func:`repro.distributed.placement.rebalance_placement`
-        balances across owners.
+        balances across owners.  ``frames`` reports the frames served
+        before this one and their summed decode, handle and encode
+        seconds (all zero unless a socket loop serves the daemon).
         """
         return {
+            "frames": {
+                "count": self.frames,
+                **{
+                    f"{stage}_seconds": seconds
+                    for stage, seconds in self.frame_seconds.items()
+                },
+            },
             "lists": list(self.hosted),
             "ops": dict(self.op_counts),
             "latency": self.latency.quantiles(),

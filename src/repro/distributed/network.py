@@ -29,9 +29,6 @@ from typing import Any, Protocol
 
 import numpy as np
 
-#: Response fields that carry best-position state across the wire.
-_BP_FIELDS = ("bp_score", "position", "positions")
-
 
 def payload_size(value: Any) -> int:
     """Estimated wire size of a payload value, in bytes.
@@ -43,6 +40,9 @@ def payload_size(value: Any) -> int:
     them, not crash on them.  This is a stable,
     implementation-independent proxy for message size.
     """
+    kind = type(value)
+    if kind is int or kind is float:
+        return 8
     if value is None or isinstance(value, (bool, np.bool_)):
         return 1
     if isinstance(value, numbers.Number):
@@ -54,6 +54,11 @@ def payload_size(value: Any) -> int:
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(payload_size(item) for item in value)
     raise TypeError(f"unsupported payload type: {type(value).__name__}")
+
+
+#: Response fields that carry best-position state across the wire, with
+#: the wire size of each field's key.
+_BP_FIELDS = {key: payload_size(key) for key in ("bp_score", "position", "positions")}
 
 
 @dataclass
@@ -120,11 +125,10 @@ class NetworkStats:
 
     @classmethod
     def _bp_field_size(cls, response: dict) -> int:
-        size = sum(
-            payload_size(response[key]) + payload_size(key)
-            for key in _BP_FIELDS
-            if key in response
-        )
+        size = 0
+        for key, key_size in _BP_FIELDS.items():
+            if key in response:
+                size += payload_size(response[key]) + key_size
         for sub in response.get("results", ()):
             if isinstance(sub, dict):
                 size += cls._bp_field_size(sub)

@@ -41,23 +41,29 @@ tracker, so its state stays the size of its list whatever the wire
 sends.  A coordinator that runs queries one after another resets the
 owners in between, as ``repro-topk cluster serve`` clients do.
 
-One node class serves every source.  Batched lookups answer with one
-NumPy gather when the list has a vectorized ``lookup_many`` (a
-:class:`~repro.columnar.ColumnarList`) and every item is known, and
-with the per-item loop otherwise; sorted blocks come from
-:meth:`ListAccessor.sorted_block_raw`, which slices columnar arrays and
-reads other sources entry by entry.  Responses, tallies, best-position
-walks and piggyback points are identical either way
-(``tests/unit/test_owner_daemon.py`` drives a plain and a columnar
-database through the same op sequences to prove it).
+One node class serves every source, one path per access kind.  A
+request is served from the list's plain-list mirrors
+(:class:`~repro.lists.accessor.ListMirrors`: ids and scores by
+position, and an id -> position dict), which an immutable list builds once
+and shares with every node and query over it: a batch of lookups is one
+pass over the id dict, a sorted block two slices, a direct block the
+tracker's direct walk, and a piggybacked ``bp_score`` one index.  The
+tracker marks each request's positions in bulk (a batch, a range, or
+the walk).  A batch holding an id the mirrors cannot name replays
+through the per-item loop, so it fails at that id with the partial
+tally and marks of the accesses before it, as single lookups would.
+Responses, tallies, best-position walks and piggyback points are the
+same for every source (``tests/unit/test_owner_daemon.py`` and
+``tests/differential/test_owner_mirrors.py`` drive plain and columnar
+lists through the same op sequences to prove it).
 """
 
 from __future__ import annotations
 
 from repro.core.best_position import BestPositionTracker, make_tracker
-from repro.errors import ProtocolError, UnknownItemError
-from repro.lists.accessor import ListAccessor, SortedListLike
-from repro.types import Position, Score
+from repro.errors import ExhaustedListError, ProtocolError
+from repro.lists.accessor import ListAccessor, SortedListLike, list_mirrors
+from repro.types import ItemId, Position, Score
 
 
 class ListOwnerNode:
@@ -81,8 +87,6 @@ class ListOwnerNode:
         include_position: bool = False,
     ) -> None:
         self._list = sorted_list
-        #: the source's vectorized batch lookup, when it has one
-        self._gather = getattr(sorted_list, "lookup_many", None)
         self._tracker_kind = tracker
         self._include_position = include_position
         self.reset()
@@ -106,7 +110,7 @@ class ListOwnerNode:
         bp = self._tracker.best_position
         if bp == 0:
             return float("inf")
-        return self._list.score_at(bp)
+        return self._mirrors.scores[bp]
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -141,65 +145,85 @@ class ListOwnerNode:
 
     def reset(self) -> None:
         """Clear the per-query state (cursor, tally, best position)."""
+        self._mirrors = list_mirrors(self._list)
         self._accessor = ListAccessor(self._list)
         self._tracker: BestPositionTracker = make_tracker(
             self._tracker_kind, len(self._list)
         )
 
     # ------------------------------------------------------------------
+    # Access paths: one per access kind, each serving a whole request
+    # ------------------------------------------------------------------
+
+    def _sorted(self, count: int) -> range:
+        """Metered sorted access to up to ``count`` next positions, all
+        marked (clipped at the list end)."""
+        positions = self._accessor.claim_sorted(count)
+        self._tracker.mark_range(positions.start, positions.stop)
+        return positions
+
+    def _lookups(self, items: list[ItemId]) -> tuple[list[Score], list[Position]]:
+        """Metered random accesses for ``items``, each position marked.
+
+        The tally and marks equal ``len(items)`` ``random_lookup``
+        requests.  An id the mirrors cannot name sends the batch through
+        the per-item loop, which fails at that id with the accesses
+        before it counted and marked (or, for an id only the list's own
+        ``lookup`` can name, answers it).
+        """
+        named = self._mirrors.positions
+        try:
+            positions = [named[item] for item in items]
+        except (KeyError, TypeError):
+            scores: list[Score] = []
+            positions = []
+            for item in items:
+                score, position = self._accessor.random_lookup(item)
+                self._tracker.mark(position)
+                scores.append(score)
+                positions.append(position)
+            return scores, positions
+        self._accessor.tally.random += len(positions)
+        self._tracker.mark_many(positions)
+        scores = self._mirrors.scores
+        return [scores[position] for position in positions], positions
+
+    def _direct(self, count: int) -> list[Position]:
+        """Up to ``count`` metered direct accesses, each at the best
+        position + 1 the one before left (BPA2's walk)."""
+        positions = self._tracker.direct_walk(count)
+        self._accessor.tally.direct += len(positions)
+        return positions
+
+    # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
 
     def _sorted_next(self) -> dict:
-        entry = self._accessor.sorted_next()
         old_bp = self._tracker.best_position
-        self._tracker.mark(entry.position)
-        response = {"item": entry.item, "score": entry.score}
-        if self._include_position:
-            response["position"] = entry.position
-        self._piggyback(response, old_bp)
-        return response
-
-    def _random_lookup(self, item: int) -> dict:
-        score, position = self._accessor.random_lookup(item)
-        old_bp = self._tracker.best_position
-        self._tracker.mark(position)
-        response: dict = {"score": score}
+        positions = self._sorted(1)
+        if not positions:
+            raise ExhaustedListError(
+                f"sorted access past the end of {self._list.name or 'list'}"
+            )
+        (position,) = positions
+        mirrors = self._mirrors
+        response = {"item": mirrors.items[position], "score": mirrors.scores[position]}
         if self._include_position:
             response["position"] = position
         self._piggyback(response, old_bp)
         return response
 
-    def _lookups(self, items: list[int]) -> tuple[list[Score], list[Position]]:
-        """Metered random accesses for ``items``, each position marked.
+    def _random_lookup(self, item: ItemId) -> dict:
+        old_bp = self._tracker.best_position
+        scores, positions = self._lookups([item])
+        response: dict = {"score": scores[0]}
+        if self._include_position:
+            response["position"] = positions[0]
+        self._piggyback(response, old_bp)
+        return response
 
-        The per-item operations of ``random_lookup``, in order: one
-        metered access and one tracker mark each.  A vectorized source
-        answers an all-known batch with one gather instead; any item it
-        cannot serve sends the batch through the per-item loop, which
-        fails at the same item with the same partial tally and marks.
-        """
-        if items and self._gather is not None:
-            try:
-                scores, positions = self._gather(items)
-            except UnknownItemError:
-                pass
-            else:
-                self._accessor.tally.random += len(items)
-                positions = positions.tolist()
-                for position in positions:
-                    self._tracker.mark(position)
-                return scores.tolist(), positions
-        scores: list[Score] = []
-        positions: list[Position] = []
-        for item in items:
-            score, position = self._accessor.random_lookup(item)
-            self._tracker.mark(position)
-            scores.append(score)
-            positions.append(position)
-        return scores, positions
-
-    def _random_lookup_many(self, items: list[int]) -> dict:
+    def _random_lookup_many(self, items: list[ItemId]) -> dict:
         """Batched random access: one message for a round's lookups.
 
         The owner-side operations of ``len(items)`` ``random_lookup``
@@ -223,16 +247,19 @@ class ListOwnerNode:
         message count changes.  The block is clipped at the list end.
         """
         old_bp = self._tracker.best_position
-        positions, items, scores = self._accessor.sorted_block_raw(count)
-        for position in positions:
-            self._tracker.mark(position)
-        response: dict = {"items": items, "scores": scores}
+        positions = self._sorted(count)
+        start, stop = positions.start, positions.stop
+        mirrors = self._mirrors
+        response: dict = {
+            "items": mirrors.items[start:stop],
+            "scores": mirrors.scores[start:stop],
+        }
         if self._include_position:
-            response["positions"] = positions
+            response["positions"] = list(positions)
         self._piggyback(response, old_bp)
         return response
 
-    def _direct_block(self, items: list[int], count: int) -> dict:
+    def _direct_block(self, items: list[ItemId], count: int) -> dict:
         """Block BPA2 step: pending lookups, then up to ``count`` direct
         accesses, each at the (possibly advanced) best position + 1.
 
@@ -242,19 +269,15 @@ class ListOwnerNode:
         """
         old_bp = self._tracker.best_position
         scores, _positions = self._lookups(items)
-        entries: list[tuple[int, Score]] = []
-        for _ in range(count):
-            position = self._tracker.best_position + 1
-            if position > len(self._accessor):
-                break
-            entry = self._accessor.direct_at(position)
-            self._tracker.mark(entry.position)
-            entries.append((entry.item, entry.score))
+        mirrors = self._mirrors
+        listed, ranked = mirrors.items, mirrors.scores
         response: dict = {
             "scores": scores,
-            "entries": entries,
-            "exhausted": self._tracker.best_position
-            >= len(self._accessor),
+            "entries": [
+                (listed[position], ranked[position])
+                for position in self._direct(count)
+            ],
+            "exhausted": self._tracker.best_position >= len(self._accessor),
         }
         self._piggyback(response, old_bp)
         return response
@@ -270,17 +293,17 @@ class ListOwnerNode:
         }
 
     def _direct_next(self) -> dict:
-        position = self._tracker.best_position + 1
-        if position > len(self._accessor):
-            return {"exhausted": True}
-        entry = self._accessor.direct_at(position)
         old_bp = self._tracker.best_position
-        self._tracker.mark(entry.position)
-        response = {"item": entry.item, "score": entry.score}
+        positions = self._direct(1)
+        if not positions:
+            return {"exhausted": True}
+        position = positions[0]
+        mirrors = self._mirrors
+        response = {"item": mirrors.items[position], "score": mirrors.scores[position]}
         self._piggyback(response, old_bp)
         return response
 
-    def _direct_step(self, items: list[int]) -> dict:
+    def _direct_step(self, items: list[ItemId]) -> dict:
         """BPA2 round step: pending lookups, then one direct access.
 
         The per-item operations (and hence this owner's best-position
@@ -291,14 +314,13 @@ class ListOwnerNode:
         old_bp = self._tracker.best_position
         scores, _positions = self._lookups(items)
         response: dict = {"scores": scores}
-        position = self._tracker.best_position + 1
-        if position > len(self._accessor):
-            response["exhausted"] = True
+        positions = self._direct(1)
+        if positions:
+            mirrors = self._mirrors
+            response["item"] = mirrors.items[positions[0]]
+            response["score"] = mirrors.scores[positions[0]]
         else:
-            entry = self._accessor.direct_at(position)
-            self._tracker.mark(entry.position)
-            response["item"] = entry.item
-            response["score"] = entry.score
+            response["exhausted"] = True
         self._piggyback(response, old_bp)
         return response
 
@@ -329,4 +351,4 @@ class ListOwnerNode:
         """Attach the best-position score when the access advanced it."""
         new_bp = self._tracker.best_position
         if new_bp != old_bp:
-            response["bp_score"] = self._list.score_at(new_bp)
+            response["bp_score"] = self._mirrors.scores[new_bp]

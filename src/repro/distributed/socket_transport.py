@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import socket
+import time
 from typing import Sequence
 
 import numpy as np
@@ -198,18 +199,25 @@ def _serve_client(daemon: OwnerDaemon, client: socket.socket) -> bool:
 
     A body that does not decode, and any failure serving it, is
     answered with an error frame: the frame was read whole, so the
-    stream stays aligned and the client keeps its connection.
+    stream stays aligned and the client keeps its connection.  Every
+    frame's decode, handle and encode times go to the daemon's metrics
+    (a failed stage's time counts toward encoding its error).
     """
+    clock = time.perf_counter
     while True:
         body = recv_body(client)
         if body is None:
             return False  # client went away; await a reconnect
+        started = decoded = handled = clock()
         try:
             kind, payload = decode_request(body)
+            decoded = handled = clock()
             response = {} if kind == SHUTDOWN else daemon.handle(kind, payload)
+            handled = clock()
             reply = encode_reply(kind, payload, response)
         except Exception as exc:  # ship, don't kill owner
             kind, reply = None, encode_error(f"{type(exc).__name__}: {exc}")
+        daemon.record_frame(decoded - started, handled - decoded, clock() - handled)
         client.sendall(reply)
         if kind == SHUTDOWN:
             return True

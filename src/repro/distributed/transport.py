@@ -73,13 +73,11 @@ class Fabric(Protocol):
 
     def request(self, address: str, kind: str, payload: dict | None = None) -> dict:
         """One blocking request/response round trip."""
-        ...
 
     def request_many(
         self, requests: Sequence[tuple[str, str, dict | None]]
     ) -> list[dict]:
         """A dependency-free batch (overlapped where the fabric can)."""
-        ...
 
 
 class NetworkBackend:

@@ -308,22 +308,16 @@ def _plan_ta_block(
             ops=tuple(SortedFetch(i, count) for i in range(m))
         )
         position += count
-        block = BlockRound(m)
+        block = BlockRound(m, seen)
         for i in range(m):
             entries = sorted_results[i].entries
             last[i] = entries[-1][1]
-            for item, score, _pos in entries:
-                block.add(i, item, score)
-        new_items = block.new_items(seen)
-        seen.update(new_items)
-        needs = block.probe_needs(new_items)
+            block.add(i, entries)
+        needs = block.probe_needs()
         results = _probe_results(needs, (yield _probe_plan(needs)))
-        probes = {
-            j: {item: results[j][slot][0] for slot, item in enumerate(needs[j])}
-            for j in range(m)
-        }
-        for item in new_items:
-            buffer.add(item, scoring(block.local_scores(item, probes)))
+        for j in range(m):
+            block.fill(j, needs[j], results[j])
+        block.complete(buffer, scoring)
         if buffer.all_at_least(scoring(last)) or position >= n:
             return DriverOutcome(buffer.ranked(), rounds, position)
 
@@ -355,24 +349,19 @@ def _plan_bpa_block(
             ops=tuple(SortedFetch(i, count) for i in range(m))
         )
         position += count
-        block = BlockRound(m)
+        block = BlockRound(m, seen)
         for i in range(m):
-            for item, score, pos in sorted_results[i].entries:
+            entries = sorted_results[i].entries
+            for _item, score, pos in entries:
                 note(i, pos, score)
-                block.add(i, item, score)
-        new_items = block.new_items(seen)
-        seen.update(new_items)
-        needs = block.probe_needs(new_items)
+            block.add(i, entries)
+        needs = block.probe_needs()
         results = _probe_results(needs, (yield _probe_plan(needs)))
-        probes: dict[int, dict[ItemId, Score]] = {}
         for j in range(m):
-            probes[j] = {}
-            for slot, item in enumerate(needs[j]):
-                score, pos = results[j][slot]
+            for score, pos in results[j]:
                 note(j, pos, score)
-                probes[j][item] = score
-        for item in new_items:
-            buffer.add(item, scoring(block.local_scores(item, probes)))
+            block.fill(j, needs[j], results[j])
+        block.complete(buffer, scoring)
         lam = scoring(
             [seen_scores[i][trackers[i].best_position] for i in range(m)]
         )
@@ -403,26 +392,18 @@ def _plan_bpa2_block(
             ops=tuple(DirectBlock(i, (), count) for i in active)
         )
         progressed = False
-        block = BlockRound(m)
+        block = BlockRound(m, seen)
         for i, result in zip(active, results):
             if result.exhausted:
                 exhausted[i] = True
-            for item, score in result.entries:
+            if result.entries:
                 progressed = True
-                block.add(i, item, score)
-        new_items = block.new_items(seen)
-        seen.update(new_items)
-        needs = block.probe_needs(new_items)
+                block.add(i, result.entries)
+        needs = block.probe_needs()
         probe_results = _probe_results(needs, (yield _probe_plan(needs)))
-        probes = {
-            j: {
-                item: probe_results[j][slot][0]
-                for slot, item in enumerate(needs[j])
-            }
-            for j in range(m)
-        }
-        for item in new_items:
-            buffer.add(item, scoring(block.local_scores(item, probes)))
+        for j in range(m):
+            block.fill(j, needs[j], probe_results[j])
+        block.complete(buffer, scoring)
         if buffer.all_at_least(scoring(backend.best_position_scores())):
             break
         if not progressed:

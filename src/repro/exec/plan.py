@@ -29,11 +29,12 @@ the vectorized kernels via :func:`repro.exec.run.execute_query`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence, Union
 
 from repro.types import ItemId, Position, Score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.algorithms.base import TopKBuffer
     from repro.distributed.transport import NetworkBackend
     from repro.exec.drivers import DriverOutcome
 
@@ -176,49 +177,68 @@ def drive(planner: Planner, backend: "NetworkBackend") -> "DriverOutcome":
 class BlockRound:
     """Deduplicated bookkeeping for one block round.
 
-    Collects the entries every list surfaced this round (sorted blocks
-    or direct blocks), then derives, *in deterministic first-surfaced
-    order*, which not-yet-seen items need probes in which lists.  Both
-    the reference block algorithms and the engine planners build their
-    probe batches through this class, so their owner-side operation
-    sequences cannot drift apart.
+    Records the entries every list surfaced this round (sorted blocks or
+    direct blocks).  An item not ``seen`` in an earlier round gets its
+    local-score vector when it is first surfaced; the lists that surface
+    it fill their slots, and the probes fill the rest (:meth:`fill`).
+    :meth:`probe_needs` derives, *in deterministic first-surfaced
+    order*, which new items need probes in which lists, and
+    :meth:`complete` scores every new item in that order.  Both the
+    reference block algorithms and the engine planners build their probe
+    batches through this class, so their owner-side operation sequences
+    cannot drift apart.
     """
 
     m: int
-    #: item -> {list_index: local score} for this round's surfaced entries.
-    surfaced: dict[ItemId, dict[int, Score]] = field(default_factory=dict)
-    #: items in first-surfaced order (dict preserves insertion order).
+    #: items completed in earlier rounds; :meth:`complete` adds this
+    #: round's new items.
+    seen: set[ItemId]
+    #: new item -> its local scores (``None`` where no list has answered
+    #: yet), in first-surfaced order (dicts keep insertion order).
+    vectors: dict[ItemId, list[Score | None]] = field(default_factory=dict)
 
-    def add(self, list_index: int, item: ItemId, score: Score) -> None:
-        """Record one surfaced entry."""
-        self.surfaced.setdefault(item, {})[list_index] = score
+    def add(self, list_index: int, entries: Iterable[Sequence]) -> None:
+        """Record the entries list ``list_index`` surfaced, each an
+        ``(item, score, ...)`` tuple (items seen earlier are skipped)."""
+        vectors, seen, m = self.vectors, self.seen, self.m
+        for entry in entries:
+            item = entry[0]
+            vector = vectors.get(item)
+            if vector is None:
+                if item in seen:
+                    continue
+                vector = vectors[item] = [None] * m
+            vector[list_index] = entry[1]
 
-    def new_items(self, seen: set[ItemId]) -> list[ItemId]:
-        """Surfaced items not seen in earlier rounds, first-surfaced order."""
-        return [item for item in self.surfaced if item not in seen]
-
-    def probe_needs(self, new_items: Sequence[ItemId]) -> list[list[ItemId]]:
+    def probe_needs(self) -> list[list[ItemId]]:
         """Per list: the new items whose local score is still unknown."""
+        vectors = self.vectors.items()
         return [
-            [item for item in new_items if j not in self.surfaced[item]]
+            [item for item, vector in vectors if vector[j] is None]
             for j in range(self.m)
         ]
 
-    def local_scores(
+    def fill(
         self,
-        item: ItemId,
-        probes: dict[int, dict[ItemId, Score]],
-    ) -> list[Score]:
-        """Assemble one item's full local-score vector.
+        list_index: int,
+        items: Sequence[ItemId],
+        probed: Iterable[tuple[Score, Position]],
+    ) -> None:
+        """Record list ``list_index``'s probe answers for ``items``: one
+        ``(score, position)`` pair per item, in order."""
+        vectors = self.vectors
+        for item, (score, _position) in zip(items, probed):
+            vectors[item][list_index] = score
 
-        ``probes[j]`` maps probed items to their scores in list ``j``;
-        scores for lists that surfaced the item come from the round's
-        own entries.
-        """
-        known = self.surfaced[item]
-        return [
-            known[j] if j in known else probes[j][item] for j in range(self.m)
-        ]
+    def complete(
+        self, buffer: "TopKBuffer", scoring: Callable[[list[Score]], Score]
+    ) -> None:
+        """Score every new item into ``buffer`` in first-surfaced order,
+        and mark them seen."""
+        self.seen.update(self.vectors)
+        add = buffer.add
+        for item, vector in self.vectors.items():
+            add(item, scoring(vector))
 
 
 def group_ops_by_owner(

@@ -17,7 +17,7 @@ swapped without touching algorithm semantics.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ExhaustedListError, UnknownItemError
 from repro.types import AccessTally, ItemId, ListEntry, Position, Score
@@ -51,6 +51,49 @@ class SortedListLike(Protocol):
     def lookup(self, item: ItemId) -> tuple[Score, Position]:
         """Local score and 1-based position of ``item``."""
         ...
+
+
+class ListMirrors(NamedTuple):
+    """Plain-list copies of one list, to serve a request without a call
+    per entry.
+
+    ``items`` and ``scores`` hold the list in rank order, indexed by
+    1-based position (index 0 holds ``None``), so a position, a range
+    of positions and a slice need no offset; ``positions`` maps each
+    item id to its position, naming exactly the ids the list's own
+    ``lookup`` names (a dict compares keys by value, as ``SortedList``'s
+    index does).  The immutable lists build theirs once, on first use,
+    and keep them (``SortedList.mirrors``, ``ColumnarList.mirrors``),
+    so every owner node and every query over a list shares one copy.
+    """
+
+    items: list[ItemId | None]
+    scores: list[Score | None]
+    positions: dict[ItemId, Position]
+
+    @classmethod
+    def build(
+        cls, items: Sequence[ItemId], scores: Sequence[Score]
+    ) -> "ListMirrors":
+        """Mirrors of a list given its ids and scores in rank order."""
+        return cls(
+            [None, *items],
+            [None, *scores],
+            dict(zip(items, range(1, len(items) + 1))),
+        )
+
+
+def list_mirrors(source: SortedListLike) -> ListMirrors:
+    """The mirrors of ``source``: its own kept ones, or a fresh copy read
+    entry by entry for a source that keeps none (a dynamic list may
+    change between queries, a disk list keeps no copy in memory)."""
+    kept = getattr(source, "mirrors", None)
+    if kept is not None:
+        return kept()
+    entries = [source.entry_at(position) for position in range(1, len(source) + 1)]
+    return ListMirrors.build(
+        [entry.item for entry in entries], [entry.score for entry in entries]
+    )
 
 
 @runtime_checkable
@@ -171,64 +214,34 @@ class ListAccessor:
         :meth:`sorted_next` sequence that stops at exhaustion.
         Columnar sources prefetch the block as array slices.
         """
-        if count < 0:
-            raise ValueError(f"block count must be >= 0, got {count}")
-        start = self._cursor + 1
-        actual = min(count, len(self._list) - self._cursor)
-        if actual <= 0:
+        claimed = self.claim_sorted(count)
+        if not claimed:
             return []
         fast = getattr(self._list, "block", None)
         if fast is not None:
-            positions, items, scores = fast(start, actual)
-            entries = [
+            positions, items, scores = fast(claimed.start, len(claimed))
+            return [
                 ListEntry(position=int(p), item=int(i), score=float(s))
                 for p, i, s in zip(positions, items, scores)
             ]
-        else:
-            entries = [
-                self._list.entry_at(position)
-                for position in range(start, start + actual)
-            ]
-        self._cursor += actual
-        self.tally.sorted += actual
-        return entries
+        return [self._list.entry_at(position) for position in claimed]
 
-    def sorted_block_raw(
-        self, count: int
-    ) -> tuple[list[Position], list[ItemId], list[Score]]:
-        """Block sorted access without entry boxing.
+    def claim_sorted(self, count: int) -> range:
+        """Block sorted access without reading: the metering of
+        :meth:`sorted_block` alone.
 
-        Semantics (cursor advance, per-entry metering, end-of-list
-        clipping) are exactly :meth:`sorted_block`; the return value is
-        ``(positions, items, scores)`` as plain lists instead of
-        :class:`ListEntry` objects.  Columnar sources answer straight
-        from array slices via ``ndarray.tolist`` — this is the owner
-        daemons' wire fast path, where per-entry dataclass construction
-        dominates block serving time.
+        Advances the cursor by up to ``count`` positions (clipped at the
+        end of the list), counts one sorted access each, and returns the
+        1-based positions claimed; the caller reads them itself (the
+        owner nodes, from the list's mirrors).
         """
         if count < 0:
             raise ValueError(f"block count must be >= 0, got {count}")
-        start = self._cursor + 1
-        actual = min(count, len(self._list) - self._cursor)
-        if actual <= 0:
-            return [], [], []
-        fast = getattr(self._list, "block", None)
-        if fast is not None:
-            positions, items, scores = fast(start, actual)
-            positions = positions.tolist()
-            items = items.tolist()
-            scores = scores.tolist()
-        else:
-            entries = [
-                self._list.entry_at(position)
-                for position in range(start, start + actual)
-            ]
-            positions = [entry.position for entry in entries]
-            items = [entry.item for entry in entries]
-            scores = [entry.score for entry in entries]
-        self._cursor += actual
-        self.tally.sorted += actual
-        return positions, items, scores
+        start = self._cursor
+        stop = min(start + count, len(self._list))
+        self._cursor = stop
+        self.tally.sorted += stop - start
+        return range(start + 1, stop + 1)
 
     def reset(self) -> None:
         """Clear the tally and rewind the sorted-access cursor."""

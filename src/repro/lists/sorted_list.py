@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.btree import BPlusTree
 from repro.errors import DuplicateItemError, InvalidPositionError, UnknownItemError
+from repro.lists.accessor import ListMirrors
 from repro.types import ItemId, ListEntry, Position, Score
 
 
@@ -28,7 +29,7 @@ class SortedList:
             cost ``log n``.
     """
 
-    __slots__ = ("_items", "_scores", "_index", "_name", "_index_kind")
+    __slots__ = ("_items", "_scores", "_index", "_name", "_index_kind", "_mirrors")
 
     def __init__(
         self,
@@ -61,6 +62,7 @@ class SortedList:
             self._index = tree
         else:
             raise ValueError(f"unknown index kind: {index_kind!r}")
+        self._mirrors: ListMirrors | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -111,6 +113,17 @@ class SortedList:
         """Iterate the whole list as :class:`ListEntry` records."""
         for idx, (item, score) in enumerate(zip(self._items, self._scores)):
             yield ListEntry(position=idx + 1, item=item, score=score)
+
+    def mirrors(self) -> ListMirrors:
+        """Plain-list mirrors of the list, built on first use and kept.
+
+        Racing readers may each build one; they are equal, and the last
+        assignment wins.
+        """
+        mirrors = self._mirrors
+        if mirrors is None:
+            mirrors = self._mirrors = ListMirrors.build(self._items, self._scores)
+        return mirrors
 
     # ------------------------------------------------------------------
     # The three access modes (uncounted primitives; see ListAccessor)

@@ -22,7 +22,8 @@ The cases here check:
 * a ±inf or NaN score, or magnitudes where ``math.fsum`` may overflow,
   give an infinite margin: no approximation is computed, and the TA and
   BPA kernels raise or answer exactly as the reference does; so do
-  weights that do not match the lists;
+  weights that do not match the lists, and BPA2's replay, whose lambda
+  may overflow in a round before k items are held;
 * threads racing to extend one memo's approximations read what a cold
   memo reads.
 """
@@ -290,6 +291,27 @@ class TestNonFiniteScores:
         assert answered
         if value != value or value == HUGE:
             assert raised
+
+    def test_bpa2_computes_lambda_every_round_as_the_reference(self):
+        # The reference's stop test computes lambda before it looks at the
+        # buffer, so a lambda that overflows raises even while fewer than
+        # k items are held.
+        scoring = WeightedSumScoring([1.0, 0.5, 2.0])
+        raised = answered = 0
+        for seed in range(40):
+            matrix = non_finite_matrix(np.random.default_rng(seed), HUGE)
+            reference = ColumnarDatabase.from_score_rows(matrix)
+            columnar = ColumnarDatabase.from_score_rows(matrix)
+            for k in (1, 4, 20, 40):
+                theirs = outcome(lambda: get_algorithm("bpa2").run(reference, k, scoring))
+                ours = outcome(lambda: get_kernel("bpa2")(columnar, k, scoring))
+                if isinstance(theirs, type):
+                    assert ours is theirs
+                    raised += 1
+                else:
+                    assert ours == theirs and ours.extras == theirs.extras
+                    answered += 1
+        assert raised and answered
 
     def test_a_finite_database_next_to_a_non_finite_one_keeps_its_margin(self):
         finite = ColumnarDatabase.from_score_rows([[1.0, 2.0], [3.0, 4.0]])

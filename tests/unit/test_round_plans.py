@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.base import TopKBuffer
 from repro.columnar import ColumnarList
 from repro.errors import ExhaustedListError, UnknownItemError
 from repro.exec.plan import (
@@ -44,22 +45,41 @@ class TestRoundPlan:
         )
 
 
+def _surface(seen: set) -> BlockRound:
+    block = BlockRound(3, seen)
+    block.add(0, [(7, 0.9)])
+    block.add(1, [(5, 0.8)])
+    block.add(2, [(7, 0.7)])  # 7 surfaced twice
+    return block
+
+
 class TestBlockRound:
     def test_probe_needs_skip_surfacing_lists_in_first_surfaced_order(self):
-        block = BlockRound(3)
-        block.add(0, item=7, score=0.9)
-        block.add(1, item=5, score=0.8)
-        block.add(2, item=7, score=0.7)  # 7 surfaced twice
-        assert block.new_items(set()) == [7, 5]
-        assert block.new_items({7}) == [5]
-        assert block.probe_needs([7, 5]) == [[5], [7], [5]]
+        assert list(_surface(set()).vectors) == [7, 5]
+        assert list(_surface({7}).vectors) == [5]
+        assert _surface(set()).probe_needs() == [[5], [7], [5]]
+        block = _surface(set())
+        block.add(1, [(3, 0.6, 2)])  # sorted entries carry their position
+        assert block.probe_needs() == [[5, 3], [7], [5, 3]]
 
     def test_local_scores_merge_surfaced_and_probed(self):
-        block = BlockRound(3)
-        block.add(0, item=7, score=0.9)
-        block.add(2, item=7, score=0.7)
-        probes = {1: {7: 0.5}}
-        assert block.local_scores(7, probes) == [0.9, 0.5, 0.7]
+        block = BlockRound(3, set())
+        block.add(0, [(7, 0.9)])
+        block.add(2, [(7, 0.7)])
+        block.fill(1, [7], [(0.5, 4)])
+        assert block.vectors[7] == [0.9, 0.5, 0.7]
+
+    def test_complete_scores_new_items_in_order_and_marks_them_seen(self):
+        block = _surface({3})
+        block.fill(0, [5], [(0.1, 1)])
+        block.fill(1, [7], [(0.5, 2)])
+        block.fill(2, [5], [(0.2, 3)])
+        scored = []
+        buffer = TopKBuffer(2)
+        block.complete(buffer, lambda local: scored.append(list(local)) or sum(local))
+        assert scored == [[0.9, 0.5, 0.7], [0.1, 0.8, 0.2]]
+        assert [entry.item for entry in buffer.ranked()] == [7, 5]
+        assert block.seen == {3, 7, 5}
 
 
 # ----------------------------------------------------------------------
