@@ -29,7 +29,8 @@ answer with the identical access tally:
 True
 
 Batching many queries over one database amortizes the columnar
-precomputation (see ``repro-topk bench compare-backends``):
+precomputation: the snapshot's layout is built once, and each row's
+total at most once per scoring:
 
 >>> from repro import BatchRunner, QuerySpec
 >>> report = BatchRunner(database, backend="columnar").run(
@@ -180,11 +181,10 @@ queries whose stop depth outruns the current width — stepping up the
 
 The distributed stack is the same round-plan engine over a transport.
 Here each of the three list owners runs in its **own OS process**,
-serving length-prefixed JSON frames over TCP; the pipelined wire
+serving length-prefixed binary frames over TCP; the pipelined wire
 protocol ships the batched protocol's messages as overlapped waves
-(``repro-topk dist-bench`` measures the wall-clock saving at identical
-message counts), and ``block_width`` fetches sorted/direct blocks
-instead of single entries:
+(identical message counts, less waiting), and ``block_width`` fetches
+sorted/direct blocks instead of single entries:
 
 >>> from repro.distributed import DistributedBPA2
 >>> remote = DistributedBPA2(transport="socket", protocol="pipelined",

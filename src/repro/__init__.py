@@ -34,7 +34,7 @@ from repro.core import (
     NaiveTracker,
     make_tracker,
 )
-from repro.bench.batch import BatchRunner, compare_backends
+from repro.bench.batch import BatchRunner
 from repro.columnar import (
     ColumnarDatabase,
     ColumnarList,
@@ -126,7 +126,6 @@ __all__ = [
     "fast_quick_combine",
     "BatchRunner",
     "QuerySpec",
-    "compare_backends",
     # query service
     "QueryService",
     "ServiceResult",

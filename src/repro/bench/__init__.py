@@ -15,7 +15,6 @@ Run from the command line::
 from repro.bench.batch import (
     BatchReport,
     BatchRunner,
-    compare_backends,
     default_query_batch,
 )
 from repro.bench.config import PAPER_DEFAULTS, Scale, resolve_scale
@@ -34,5 +33,4 @@ __all__ = [
     "BatchRunner",
     "BatchReport",
     "default_query_batch",
-    "compare_backends",
 ]

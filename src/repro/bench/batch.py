@@ -1,4 +1,4 @@
-"""Batched query execution and backend comparison.
+"""Batched query execution over either storage backend.
 
 The monitoring framing (many standing top-k queries over one shared
 database) makes *batch throughput* the metric that matters at scale: the
@@ -17,8 +17,8 @@ replays only its own access sequence.  :class:`BatchRunner` implements that:
   metered accessors.
 
 Either way the results are identical — same ranked answers, same access
-tallies — which :func:`compare_backends` re-checks on every run before
-reporting a speedup.
+tallies; ``tests/differential/test_backend_equivalence.py`` holds the
+two backends to that.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Sequence
 
 from repro.algorithms.base import get_algorithm
 from repro.columnar import ColumnarDatabase
-from repro.datagen.base import make_generator
 from repro.exec.keys import QuerySpec
 from repro.exec.run import execute_query
 from repro.lists.database import Database
@@ -153,74 +152,3 @@ def default_query_batch(
         for i in range(count)
     ]
 
-
-def compare_backends(
-    *,
-    n: int = 10_000,
-    m: int = 3,
-    queries: int = 100,
-    k: int = 20,
-    algorithm: str = "bpa2",
-    generator: str = "uniform",
-    seed: int = 42,
-    repeats: int = 1,
-) -> dict:
-    """Run one batch on both backends and report the speedup as a dict.
-
-    The batch is identical on both sides (same specs, same database
-    content); results are cross-checked for equality — a mismatch is a
-    bug, reported loudly rather than averaged away.  With ``repeats``
-    > 1 each backend is timed that many times and the best run kept
-    (standard practice to suppress scheduler noise).
-    """
-    database = make_generator(generator).generate(n, m, seed=seed)
-    batch = default_query_batch(queries, algorithm=algorithm, k_max=k)
-
-    timings: dict[str, BatchReport] = {}
-    for backend in ("python", "columnar"):
-        best: BatchReport | None = None
-        for _ in range(max(1, repeats)):
-            # A fresh runner per repeat so every timed run pays the full
-            # cost of a cold batch, including the columnar per-scoring
-            # totals (each runner converts ``database`` into a snapshot
-            # of its own, memo included) — repeats suppress scheduler
-            # noise, they must not warm the memo.
-            report = BatchRunner(database, backend=backend).run(batch)
-            if best is None or report.seconds < best.seconds:
-                best = report
-        timings[backend] = best
-
-    python_report = timings["python"]
-    columnar_report = timings["columnar"]
-    identical = all(
-        a == b and a.extras == b.extras
-        for a, b in zip(python_report.results, columnar_report.results)
-    )
-    speedup = (
-        python_report.seconds / columnar_report.seconds
-        if columnar_report.seconds > 0
-        else float("inf")
-    )
-    return {
-        "config": {
-            "n": n,
-            "m": m,
-            "k_max": k,
-            "queries": queries,
-            "algorithm": algorithm,
-            "generator": generator,
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "python_backend": {
-            "seconds": python_report.seconds,
-            "queries_per_second": python_report.queries_per_second,
-        },
-        "columnar_backend": {
-            "seconds": columnar_report.seconds,
-            "queries_per_second": columnar_report.queries_per_second,
-            "vectorized_kernel_queries": columnar_report.kernel_queries,
-        },
-        "speedup": speedup,
-        "results_identical": identical,
-    }

@@ -10,15 +10,14 @@ Examples::
     repro-topk distributed --n 2000 --m 6 --k 10
     repro-topk distributed --transport socket --protocol pipelined \
                --block-width 8 --verify
-    repro-topk bench compare-backends --n 10000 --m 3 --queries 100
     repro-topk serve-workload --n 100000 --m 3 --shards 4 --queries 400
     repro-topk serve-workload --shards auto --async-mode --concurrency 8
-    repro-topk serve-workload --speedup    # the service_speedup.json grid
-    repro-topk dist-bench                  # distributed_speedup.json
     repro-topk cluster serve --snapshot db.bpsn --owners 2 --spec-out spec.json
     repro-topk serve-workload --cluster-spec spec.json --verify
     repro-topk cluster stats --spec spec.json
-    repro-topk cluster bench               # cluster_speedup.json
+
+The timed service benchmark is ``perfbench/run.py`` (see
+``perfbench/README.md``), not a subcommand.
 
 (Equivalently ``python -m repro ...``.)
 """
@@ -111,29 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "reference single-node algorithm and exit "
                                   "non-zero on any mismatch")
 
-    bench = sub.add_parser(
-        "bench", help="throughput benchmarks over the storage backends"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    compare = bench_sub.add_parser(
-        "compare-backends",
-        help="batch the same queries through the pure-Python and columnar "
-             "backends, verify identical results, report the speedup",
-    )
-    compare.add_argument("--n", type=int, default=10_000)
-    compare.add_argument("--m", type=int, default=3)
-    compare.add_argument("--k", type=int, default=20,
-                         help="queries cycle k over 1..K")
-    compare.add_argument("--queries", type=int, default=100)
-    compare.add_argument("--algorithm", default="bpa2")
-    compare.add_argument("--generator", default="uniform",
-                         choices=("uniform", "gaussian", "correlated", "zipf"))
-    compare.add_argument("--seed", type=int, default=42)
-    compare.add_argument("--repeats", type=int, default=3,
-                         help="time each backend this many times, keep the best")
-    compare.add_argument("--out", default=None, metavar="FILE",
-                         help="also write the JSON report to FILE")
-
     serve = sub.add_parser(
         "serve-workload",
         help="replay a zipf-popular query workload through the sharded "
@@ -173,10 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="serve with ServicePolicy(adaptive=True): "
                             "feedback-calibrated planning, online block-"
                             "width tuning, drift-aware re-tuning")
-    serve.add_argument("--adaptive-speedup", action="store_true",
-                       help="run the adaptive-vs-static-width grid on a "
-                            "phase-shifting workload (oracle-verified; "
-                            "writes reports/adaptive_speedup.json)")
     serve.add_argument("--shards", default="4",
                        help="shard count, or 'auto' to let the planner's "
                             "cost model pick it (default: 4)")
@@ -218,9 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--smoke", action="store_true",
                        help="tiny CI preset (n=2000, 60 queries, 2 shards, "
                             "serial pool; writes reports/service_smoke.json)")
-    serve.add_argument("--speedup", action="store_true",
-                       help="run the unsharded-vs-sharded x cold-vs-warm grid "
-                            "benchmark (writes reports/service_speedup.json)")
     serve.add_argument("--snapshot-in", default=None, metavar="FILE",
                        help="warm-start the service from an epoch-stamped "
                             ".bpsn snapshot instead of generating the "
@@ -250,9 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch",
         help="tail a standing top-k subscription's pushed deltas from a "
-             "watch server, or benchmark push vs re-query (--speedup)",
+             "watch server",
     )
-    watch.add_argument("--port", type=int, default=None,
+    watch.add_argument("--port", type=int, required=True,
                        help="watch server port (see serve-workload "
                             "--watch-port)")
     watch.add_argument("--host", default="127.0.0.1")
@@ -268,31 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--poll-timeout", type=float, default=0.5,
                        metavar="SECONDS",
                        help="poll granularity while tailing")
-    watch.add_argument("--speedup", action="store_true",
-                       help="run the push-vs-re-query benchmark (writes "
-                            "reports/watch_speedup.json; no server needed)")
-    watch.add_argument("--subscribers", type=int, default=4,
-                       help="--speedup: concurrent subscriptions")
-    watch.add_argument("--mutations", type=int, default=150,
-                       help="--speedup: mutations driven through the stream")
-    watch.add_argument("--n", type=int, default=400,
-                       help="--speedup: database size")
-    watch.add_argument("--m", type=int, default=3)
-    watch.add_argument("--generator", default="uniform",
-                       choices=("uniform", "gaussian", "correlated", "zipf"))
-    watch.add_argument("--seed", type=int, default=11)
-    watch.add_argument("--no-verify", action="store_true",
-                       help="--speedup: skip the per-mutation brute-force "
-                            "verification of every client mirror")
-    watch.add_argument("--out", default=None, metavar="FILE",
-                       help="--speedup report path "
-                            "(default: reports/watch_speedup.json)")
 
     reverse = sub.add_parser(
         "reverse",
         help="reverse top-k demo over seeded user weight vectors (which "
-             "users rank an item in their top k?), or benchmark pruned "
-             "vs naive per-user evaluation (--speedup)",
+             "users rank an item in their top k?)",
     )
     reverse.add_argument("--n", type=int, default=1_500,
                          help="database size")
@@ -311,15 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "items and list every matching user")
     reverse.add_argument("--no-verify", action="store_true",
                          help="skip the per-query brute-force oracle check")
-    reverse.add_argument("--speedup", action="store_true",
-                         help="run the pruned-vs-naive benchmark with an "
-                              "interleaved mutation phase (writes "
-                              "reports/reverse_speedup.json)")
-    reverse.add_argument("--mutations", type=int, default=60,
-                         help="--speedup: mutations in the mutating phase")
-    reverse.add_argument("--out", default=None, metavar="FILE",
-                         help="--speedup report path "
-                              "(default: reports/reverse_speedup.json)")
 
     verify_snap = sub.add_parser(
         "verify-snapshot",
@@ -332,43 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "intact rank sections and rewrite the "
                                   "file atomically")
 
-    dist_bench = sub.add_parser(
-        "dist-bench",
-        help="measure the batched wire protocol's message/byte savings and "
-             "async-vs-serial service throughput "
-             "(writes reports/distributed_speedup.json)",
-    )
-    dist_bench.add_argument("--n", type=int, default=2_000)
-    dist_bench.add_argument("--m", type=int, default=5)
-    dist_bench.add_argument("--k", type=int, default=10)
-    dist_bench.add_argument("--generator", default="uniform",
-                            choices=("uniform", "gaussian", "correlated",
-                                     "zipf"))
-    dist_bench.add_argument("--seed", type=int, default=42)
-    dist_bench.add_argument("--queries", type=int, default=120,
-                            help="queries in the async-vs-serial replay")
-    dist_bench.add_argument("--concurrency", type=int, default=8)
-    dist_bench.add_argument("--transport", default="all",
-                            choices=("simulated", "socket", "all"),
-                            help="which transports to measure (socket = "
-                                 "multi-process TCP owners, wall-clock rows)")
-    dist_bench.add_argument("--protocol", default="all",
-                            choices=("entry", "batch", "pipelined", "all"),
-                            help="which wire protocols to measure")
-    dist_bench.add_argument("--block-width", type=int, default=8,
-                            help="block width for the *-block socket rows")
-    dist_bench.add_argument("--socket-repeats", type=int, default=3,
-                            help="repeats per socket cell (best kept)")
-    dist_bench.add_argument("--smoke", action="store_true",
-                            help="tiny CI preset (n=600, m=3, 40 queries)")
-    dist_bench.add_argument("--out", default=None, metavar="FILE",
-                            help="report path "
-                                 "(default: reports/distributed_speedup.json)")
-
     cluster = sub.add_parser(
         "cluster",
         help="multi-tenant owner daemons: serve lists from a snapshot, "
-             "read owner metrics, benchmark per-owner frame coalescing",
+             "read owner metrics",
     )
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
     cl_serve = cluster_sub.add_parser(
@@ -411,27 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "through the LPT rebalancer and print the "
                                "suggested owner/list layout when it beats "
                                "the current imbalance")
-    cl_bench = cluster_sub.add_parser(
-        "bench",
-        help="measure per-owner frame coalescing and placement "
-             "rebalancing (writes reports/cluster_speedup.json)",
-    )
-    cl_bench.add_argument("--n", type=int, default=2_000)
-    cl_bench.add_argument("--m", type=int, default=4)
-    cl_bench.add_argument("--k", type=int, default=10)
-    cl_bench.add_argument("--generator", default="uniform",
-                          choices=("uniform", "gaussian", "correlated",
-                                   "zipf"))
-    cl_bench.add_argument("--seed", type=int, default=42)
-    cl_bench.add_argument("--repeats", type=int, default=3,
-                          help="repeats per socket cell (best kept)")
-    cl_bench.add_argument("--block-width", type=int, default=8,
-                          help="block width for the *-block rows")
-    cl_bench.add_argument("--smoke", action="store_true",
-                          help="tiny CI preset (n=400, 2 repeats)")
-    cl_bench.add_argument("--out", default=None, metavar="FILE",
-                          help="report path "
-                               "(default: reports/cluster_speedup.json)")
 
     return parser
 
@@ -617,56 +503,6 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.batch import compare_backends
-
-    if args.algorithm not in known_algorithms():
-        print(f"unknown algorithm {args.algorithm!r}; known: {known_algorithms()}",
-              file=sys.stderr)
-        return 2
-    if not 1 <= args.k <= args.n:
-        print(f"--k must be in 1..{args.n} (got {args.k})", file=sys.stderr)
-        return 2
-    if args.queries < 1:
-        print(f"--queries must be >= 1 (got {args.queries})", file=sys.stderr)
-        return 2
-    report = compare_backends(
-        n=args.n,
-        m=args.m,
-        queries=args.queries,
-        k=args.k,
-        algorithm=args.algorithm,
-        generator=args.generator,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    python_side = report["python_backend"]
-    columnar_side = report["columnar_backend"]
-    print(f"batch: {args.queries} x {args.algorithm} queries, "
-          f"{args.generator} n={args.n:,} m={args.m}, k cycling 1..{args.k}")
-    print(f"{'backend':>10} {'seconds':>10} {'queries/s':>12} {'kernel':>8}")
-    print(f"{'python':>10} {python_side['seconds']:>10.3f} "
-          f"{python_side['queries_per_second']:>12,.0f} {'-':>8}")
-    print(f"{'columnar':>10} {columnar_side['seconds']:>10.3f} "
-          f"{columnar_side['queries_per_second']:>12,.0f} "
-          f"{columnar_side['vectorized_kernel_queries']:>8}")
-    print(f"speedup: {report['speedup']:.2f}x  "
-          f"(results identical: {report['results_identical']})")
-    if not report["results_identical"]:
-        print("ERROR: backends disagree — this is a bug", file=sys.stderr)
-        return 1
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"report written to {out}")
-    return 0
-
-
 def _cmd_verify_snapshot(args: argparse.Namespace) -> int:
     from repro.errors import StorageError
     from repro.storage import verify_snapshot
@@ -695,12 +531,7 @@ def _cmd_verify_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_workload(args: argparse.Namespace) -> int:
-    from repro.service.workload import (
-        WorkloadConfig,
-        run_workload,
-        speedup_benchmark,
-        write_report,
-    )
+    from repro.service.workload import WorkloadConfig, run_workload, write_report
 
     if args.cluster_spec is not None:
         return _cmd_hammer_cluster(args)
@@ -718,66 +549,6 @@ def _cmd_serve_workload(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     args.shards = shards
-
-    if args.speedup:
-        if args.shards == "auto":
-            print("--speedup sweeps explicit shard counts; pass --shards N",
-                  file=sys.stderr)
-            return 2
-        report = speedup_benchmark(
-            n=args.n,
-            m=args.m,
-            queries=args.queries,
-            distinct=args.distinct,
-            k_max=args.k_max,
-            shards=args.shards,
-            generator=args.generator,
-            zipf_theta=args.zipf_theta,
-            seed=args.seed,
-            pool=args.pool,
-        )
-        out = write_report(report, args.out or "reports/service_speedup.json")
-        grid = report["grid"]
-        print(f"service speedup grid ({args.generator} n={args.n:,} "
-              f"m={args.m}, {args.queries} queries, cpu_count="
-              f"{report['cpu_count']}):")
-        print(f"{'configuration':>24} {'cache off':>12} {'cold cache':>12} "
-              f"{'warm cache':>12}   (queries/s)")
-        for label, cell in grid.items():
-            print(f"{label:>24} "
-                  f"{cell['cache_off']['queries_per_second']:>12,.0f} "
-                  f"{cell['cache_cold']['queries_per_second']:>12,.0f} "
-                  f"{cell['cache_warm']['queries_per_second']:>12,.0f}")
-        for name, value in report["speedups"].items():
-            print(f"  {name}: {value:.2f}x")
-        print(f"  cache hit rate (zipf replay): "
-              f"{report['cache_hit_rate_zipf_replay']:.1%}")
-        print(f"  results identical to cache-off: "
-              f"{report['results_identical_to_cache_off']}")
-        mutation = report["mutation_workload"]
-        delta_rate, legacy_rate = mutation["reuse_rate_delta_vs_whole_epoch"]
-        verified = (
-            mutation["delta_cache"]["verified_identical"]
-            and mutation["whole_epoch_cache"]["verified_identical"]
-        )
-        print(f"  mutation-heavy replay reuse (delta vs whole-epoch): "
-              f"{delta_rate:.1%} vs {legacy_rate:.1%} "
-              f"(oracle-verified: {verified})")
-        refresh = report["snapshot_refresh"]
-        print(f"  snapshot refresh (patched vs cold rebuild, "
-              f"{refresh['config']['epochs']} epochs): "
-              f"{refresh['speedup_patched_vs_rebuild']:.2f}x "
-              f"(snapshots identical: {refresh['snapshots_identical']})")
-        print(f"report written to {out}")
-        ok = (
-            report["results_identical_to_cache_off"]
-            and verified
-            and refresh["snapshots_identical"]
-        )
-        return 0 if ok else 1
-
-    if args.adaptive_speedup:
-        return _cmd_adaptive_speedup(args)
 
     settings = dict(
         generator=args.generator,
@@ -969,118 +740,7 @@ def _cmd_serve_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_adaptive_speedup(args: argparse.Namespace) -> int:
-    """``serve-workload --adaptive-speedup``: the closed-loop grid.
-
-    Ignores the generic workload sizing flags in favor of the
-    benchmark's tuned defaults (correlated data makes the stop depth
-    track k, so the static widths genuinely disagree across phases);
-    only the phase knobs, the seed, and --smoke are honored.  The exit
-    code gates on *correctness* (every cell oracle-verified and all
-    cells answer-identical); the performance verdicts are printed and
-    land in the report for the reader.
-    """
-    from repro.service.workload import adaptive_contrast, write_report
-
-    settings: dict = {"seed": args.seed}
-    if args.phase_shift:
-        settings["phase_shift"] = args.phase_shift
-    if args.adversarial_ratio:
-        settings["adversarial_ratio"] = args.adversarial_ratio
-    if args.key_skew is not None:
-        settings["key_skew"] = args.key_skew
-    if args.smoke:
-        settings.update(n=1_500, queries=120, distinct=8)
-    report = adaptive_contrast(**settings)
-    out = write_report(report, args.out or "reports/adaptive_speedup.json")
-    config = report["config"]
-    print(f"adaptive planning grid ({config['generator']} "
-          f"n={config['n']:,} m={config['m']}, {config['queries']} queries, "
-          f"{config['phase_shift']} phase shifts, "
-          f"{config['adversarial_ratio']:.0%} adversarial):")
-    print(f"{'cell':>12} {'seconds':>9} {'queries/s':>10} {'messages':>10} "
-          f"{'net cost':>12}")
-    for grid_label in ("phase_shifting", "stationary"):
-        grid = report[grid_label]
-        print(f"  [{grid_label}]")
-        for label, cell in grid["cells"].items():
-            print(f"{label:>12} {cell['seconds']:>9.3f} "
-                  f"{cell['queries_per_second']:>10,.0f} "
-                  f"{cell['messages']:>10,} {cell['network_cost']:>12,}")
-        print(f"    adaptive vs best static: "
-              f"{grid['adaptive_wall_vs_best_static']:.3f}x wall, "
-              f"{grid['adaptive_network_cost_vs_best_static']:.3f}x "
-              f"network cost")
-    drift = report["phase_shifting"]["cells"]["adaptive"]["adaptive"]
-    print(f"drift epochs under phase shifts: {drift['drift_epochs']} "
-          f"({drift['replans']} re-plans)")
-    summary = report["summary"]
-    print(f"  adaptive beats best static (wall or network cost): "
-          f"{summary['adaptive_beats_best_static']}")
-    print(f"  stationary within {config['stationary_tolerance']:.2f}x "
-          f"of best static: "
-          f"{summary['adaptive_ties_stationary_within_tolerance']}")
-    identical = (
-        report["phase_shifting"]["answers_identical_across_cells"]
-        and report["stationary"]["answers_identical_across_cells"]
-    )
-    print(f"  all cells oracle-verified: {summary['all_verified']} "
-          f"(answers identical across cells: {identical})")
-    print(f"report written to {out}")
-    return 0 if (summary["all_verified"] and identical) else 1
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
-    if args.speedup:
-        from repro.service.workload import write_report
-        from repro.watch.bench import watch_speedup
-
-        report = watch_speedup(
-            generator=args.generator,
-            n=args.n,
-            m=args.m,
-            seed=args.seed,
-            subscribers=args.subscribers,
-            mutations=args.mutations,
-            k=args.k,
-            algorithm=args.algorithm,
-            scoring=args.scoring,
-            verify=not args.no_verify,
-        )
-        out = write_report(report, args.out or "reports/watch_speedup.json")
-        watch_side, naive = report["watch"], report["naive"]
-        speedup = report["speedup"]
-        print(f"watch speedup ({args.generator} n={args.n:,} m={args.m}, "
-              f"{args.subscribers} subscribers x {args.mutations} mutations, "
-              f"k={args.k}):")
-        print(f"{'mode':>8} {'messages':>10} {'bytes':>12} {'seconds':>9}")
-        print(f"{'watch':>8} {watch_side['messages']:>10,} "
-              f"{watch_side['bytes']:>12,} {watch_side['seconds']:>9.3f}")
-        print(f"{'naive':>8} {naive['messages']:>10,} "
-              f"{naive['bytes']:>12,} {naive['seconds']:>9.3f}")
-        print(f"push saves {speedup['messages']:.1f}x messages, "
-              f"{speedup['bytes']:.1f}x bytes, "
-              f"{speedup['wallclock']:.2f}x wall-clock")
-        outcomes = watch_side["outcomes"]
-        print(f"maintenance outcomes: {outcomes['unchanged']} unchanged / "
-              f"{outcomes['patched']} patched / "
-              f"{outcomes['recomputed']} recomputed")
-        if not args.no_verify:
-            verdict = report["verified"]
-            print(f"oracle verification: "
-                  f"{'every mirror identical' if verdict else 'MISMATCH'}")
-            if not verdict:
-                print("ERROR: a client mirror diverged from the brute-force "
-                      "ranking of the current data", file=sys.stderr)
-                return 1
-        print(f"report written to {out}")
-        return 0
-
-    if args.port is None:
-        print("watch needs --port (or --speedup); start a server with "
-              "'repro-topk serve-workload --mutation-rate R --watch-port P'",
-              file=sys.stderr)
-        return 2
     from repro.watch.client import WatchClient
 
     try:
@@ -1125,47 +785,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_reverse(args: argparse.Namespace) -> int:
-    if args.speedup:
-        from repro.reverse.bench import reverse_speedup_benchmark
-        from repro.service.workload import write_report
-
-        report = reverse_speedup_benchmark(
-            generator=args.generator,
-            n=args.n,
-            m=args.m,
-            seed=args.seed,
-            users=args.users,
-            queries=args.queries,
-            mutations=args.mutations,
-            k=args.k,
-            verify=not args.no_verify,
-        )
-        out = write_report(report, args.out or "reports/reverse_speedup.json")
-        pruned, naive = report["pruned"], report["naive"]
-        speedup = report["speedup"]
-        print(f"reverse top-k speedup ({args.generator} n={args.n:,} "
-              f"m={args.m}, {args.users} users, {args.queries} queries + "
-              f"{args.mutations} mutating, k={args.k}):")
-        print(f"{'mode':>8} {'static s':>10} {'mutating s':>11}")
-        print(f"{'pruned':>8} {pruned['seconds_static']:>10.3f} "
-              f"{pruned['seconds_mutating']:>11.3f}")
-        print(f"{'naive':>8} {naive['seconds_static']:>10.3f} "
-              f"{naive['seconds_mutating']:>11.3f}")
-        print(f"speedup: {speedup['static']:.1f}x static, "
-              f"{speedup['mutating']:.1f}x mutating, "
-              f"{speedup['overall']:.1f}x overall "
-              f"({pruned['pruned_fraction']:.0%} of user decisions "
-              f"bound-pruned)")
-        upkeep = pruned["maintenance"]
-        print(f"maintenance: {upkeep['unchanged']} unchanged / "
-              f"{upkeep['patched']} patched / {upkeep['dropped']} dropped")
-        if report["verified"] is not None:
-            print(f"oracle verification: "
-                  f"{'all answers identical' if report['verified'] else 'MISMATCH'} "
-                  f"({report['mismatches']} mismatches)")
-        print(f"report written to {out}")
-        return 0 if report["verified"] in (True, None) else 1
-
     import numpy as np
 
     from repro.datagen import make_generator
@@ -1266,7 +885,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     handlers = {
         "serve": _cmd_cluster_serve,
         "stats": _cmd_cluster_stats,
-        "bench": _cmd_cluster_bench,
     }
     return handlers[args.cluster_command](args)
 
@@ -1401,154 +1019,6 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.distributed.cluster_bench import cluster_speedup_benchmark
-    from repro.service.workload import write_report
-
-    settings = dict(
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        generator=args.generator,
-        seed=args.seed,
-        repeats=args.repeats,
-        block_width=args.block_width,
-    )
-    if args.smoke:
-        settings.update(n=min(args.n, 400), repeats=min(args.repeats, 2))
-    report = cluster_speedup_benchmark(**settings)
-    out = write_report(report, args.out or "reports/cluster_speedup.json")
-    config = report["socket"]["config"]
-    print(f"cluster coalescing ({config['generator']} n={config['n']:,} "
-          f"m={config['m']}, best of {config['repeats']}, socket "
-          f"transport):")
-    print(f"{'driver':>14} {'frames m-own':>13} {'frames 2-own':>13} "
-          f"{'reduction':>10} {'wall speedup':>13}")
-    m_label = str(config["m"])
-    for label, row in report["socket"]["drivers"].items():
-        base = row["owners"].get(m_label, {}).get("batch")
-        two = row["owners"].get("2", {}).get("batch")
-        if not base or not two:
-            continue
-        reduction = row.get("frames_reduction_batch_2_owners", 0.0)
-        speedup = row.get("wall_speedup_batch_2_owners", 0.0)
-        marker = "" if row["full_fanout_rounds"] else "  (probe waves only)"
-        print(f"{label:>14} {base['messages']:>13,} {two['messages']:>13,} "
-              f"{reduction:>9.2f}x {speedup:>12.2f}x{marker}")
-    rebalance = report["placement_rebalance"]
-    print(f"placement rebalance (skewed {rebalance['config']['m']}-list "
-          f"layout): imbalance {rebalance['imbalance_before']:.3f} -> "
-          f"{rebalance['imbalance_after']:.3f} measured "
-          f"({rebalance['imbalance_predicted']:.3f} predicted), "
-          f"groups {rebalance['proposed_groups']}")
-    summary = report["summary"]
-    print(f"  meets 2x frame reduction at 2 owners: "
-          f"{summary['meets_2x_frames']}")
-    print(f"  wall-clock faster at 2 owners: {summary['wall_clock_faster']}")
-    print(f"  rebalance improves balance: "
-          f"{summary['rebalance_improves_balance']}")
-    print(f"report written to {out}")
-    ok = (summary["meets_2x_frames"] and summary["wall_clock_faster"]
-          and summary["rebalance_improves_balance"])
-    return 0 if ok else 1
-
-
-def _cmd_dist_bench(args: argparse.Namespace) -> int:
-    from repro.distributed.bench import distributed_speedup_benchmark
-    from repro.service.workload import write_report
-
-    transports = (
-        ("simulated", "socket") if args.transport == "all"
-        else (args.transport,)
-    )
-    protocols = (
-        ("entry", "batch", "pipelined") if args.protocol == "all"
-        else (args.protocol,)
-    )
-    settings = dict(
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        generator=args.generator,
-        seed=args.seed,
-        async_queries=args.queries,
-        concurrency=args.concurrency,
-        transports=transports,
-        protocols=protocols,
-        socket_repeats=args.socket_repeats,
-        block_width=args.block_width,
-    )
-    if args.smoke:
-        settings.update(n=min(args.n, 600), m=min(args.m, 3),
-                        async_queries=min(args.queries, 40),
-                        socket_repeats=min(args.socket_repeats, 2))
-    report = distributed_speedup_benchmark(**settings)
-    out = write_report(report, args.out or "reports/distributed_speedup.json")
-
-    if "socket" in transports and not any(
-        p in ("batch", "pipelined") for p in protocols
-    ):
-        print("note: socket rows need a batch-family protocol "
-              "(--protocol batch or pipelined); skipping the socket "
-              "section", file=sys.stderr)
-    transport = report.get("transport")
-    if transport is not None:
-        print(f"wire protocols ({transport['config']['generator']} "
-              f"n={transport['config']['n']:,} m={transport['config']['m']} "
-              f"k={transport['config']['k']}):")
-        measured = transport["protocols"]
-        if "entry" in measured and "batch" in measured:
-            print(f"{'driver':>8} {'accesses':>9} {'entry msgs':>11} "
-                  f"{'batch msgs':>11} {'entry bytes':>12} "
-                  f"{'batch bytes':>12} {'bytes saved':>12}")
-            for name, cell in transport["drivers"].items():
-                print(f"{name:>8} {cell['accesses']:>9,} "
-                      f"{cell['entry']['messages']:>11,} "
-                      f"{cell['batch']['messages']:>11,} "
-                      f"{cell['entry']['bytes']:>12,} "
-                      f"{cell['batch']['bytes']:>12,} "
-                      f"{cell['bytes_reduction']:>11.1%}")
-        else:
-            print(f"{'driver':>8} {'protocol':>10} {'accesses':>9} "
-                  f"{'messages':>10} {'bytes':>12}")
-            for name, cell in transport["drivers"].items():
-                for protocol in measured:
-                    print(f"{name:>8} {protocol:>10} {cell['accesses']:>9,} "
-                          f"{cell[protocol]['messages']:>10,} "
-                          f"{cell[protocol]['bytes']:>12,}")
-    socket_side = report.get("socket")
-    if socket_side is not None:
-        print(f"socket transport, wall-clock per query "
-              f"(multi-process owners over TCP, best of "
-              f"{socket_side['config']['repeats']}):")
-        print(f"{'driver':>14} {'messages':>9} {'batch ms':>9} "
-              f"{'pipelined ms':>13} {'speedup':>8} {'msgs equal':>11}")
-        for name, cell in socket_side["drivers"].items():
-            batch = cell.get("batch")
-            pipelined = cell.get("pipelined")
-            messages = (batch or pipelined or {}).get("messages", 0)
-            batch_ms = (f"{batch['seconds'] * 1e3:>9.1f}"
-                        if batch else f"{'-':>9}")
-            pipelined_ms = (f"{pipelined['seconds'] * 1e3:>13.1f}"
-                            if pipelined else f"{'-':>13}")
-            if batch and pipelined:
-                speedup = f"{cell['pipelined_wall_speedup']:>7.2f}x"
-                equal = f"{str(cell['messages_equal']):>11}"
-            else:
-                speedup, equal = f"{'-':>8}", f"{'-':>11}"
-            print(f"{name:>14} {messages:>9,} {batch_ms} {pipelined_ms} "
-                  f"{speedup} {equal}")
-    async_side = report["async_service"]
-    print(f"async service replay ({async_side['config']['queries']} queries, "
-          f"concurrency {async_side['config']['concurrency']}):")
-    print(f"  serial {async_side['serial']['queries_per_second']:,.0f} q/s  "
-          f"async {async_side['async']['queries_per_second']:,.0f} q/s  "
-          f"({async_side['async_vs_serial_speedup']:.2f}x, cache stats "
-          f"identical: {async_side['cache_stats_identical']})")
-    print(f"report written to {out}")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -1559,12 +1029,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "adversarial": _cmd_adversarial,
         "trace": _cmd_trace,
         "distributed": _cmd_distributed,
-        "bench": _cmd_bench,
         "serve-workload": _cmd_serve_workload,
         "watch": _cmd_watch,
         "reverse": _cmd_reverse,
         "verify-snapshot": _cmd_verify_snapshot,
-        "dist-bench": _cmd_dist_bench,
         "cluster": _cmd_cluster,
     }
     return handlers[args.command](args)

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import (
+    DatabaseError,
     DuplicateItemError,
     InvalidPositionError,
     UnknownItemError,
@@ -80,6 +81,12 @@ class ColumnarList:
     def _init_from_arrays(
         self, items: np.ndarray, scores: np.ndarray, name: str
     ) -> None:
+        nan = np.isnan(scores)
+        if nan.any():
+            raise DatabaseError(
+                f"item {int(items[nan.argmax()])} in list {name or '?'} "
+                "has a NaN local score"
+            )
         # Canonical layout: lexsort's last key is primary, so this sorts
         # by score descending, then item id ascending — byte-identical to
         # SortedList's ``sorted(..., key=lambda p: (-p[1], p[0]))``.

@@ -18,7 +18,7 @@ the plans are served —
   behind length-prefixed TCP framing
   (:mod:`repro.distributed.socket_transport`); byte counters measure
   real frames, and ``protocol="pipelined"`` genuinely overlaps the
-  round trips (``repro dist-bench`` reports the wall-clock saving).
+  round trips.
 
 Both run the planners over owners; single-node queries run the
 vectorized kernels (:func:`repro.exec.run.execute_query`) instead.  The

@@ -1,427 +1,23 @@
-"""The multi-tenant cluster benchmark behind ``repro cluster bench``.
+"""The verified client behind ``repro serve-workload --cluster-spec``.
 
-Measures the three claims the multi-tenant transport makes
-(:mod:`repro.distributed.placement` / :mod:`repro.distributed.daemon`):
-
-* **Per-owner frame coalescing.**  The same query runs with one owner
-  process per list (the legacy layout) and with the lists co-located on
-  2 and on 1 owners.  Every configuration must be item- **and**
-  tally-identical to the reference single-node algorithm — the benchmark
-  raises otherwise — and the report records the frame/byte reduction
-  co-location buys.  Full-fan-out rounds (TA/BPA sorted+probe waves,
-  every block variant) coalesce by exactly ``m / owners``; classic BPA2
-  coalesces only its probe waves (its direct steps advance one list per
-  frame by design), which the summary calls out rather than hides.
-* **Wall-clock.**  Over the real socket transport, each configuration
-  runs ``repeats`` times on a warm cluster (best time kept): fewer
-  frames means fewer syscall round trips, so the co-located cluster
-  should also be faster end to end.
-* **Placement rebalancing.**  A deliberately skewed placement serves a
-  verified mix; the owners' per-list load feeds the rebalancer, whose
-  proposal must not be less balanced than the skewed layout.
-
-``repro cluster bench`` lands the JSON at
-``reports/cluster_speedup.json`` (the CI ``cluster-smoke`` artifact);
-:func:`hammer_cluster` is the client side of ``serve-workload
---cluster-spec``, hammering a cluster spawned by another process.
+:func:`hammer_cluster` connects to owner daemons that another process
+spawned (``repro cluster serve --spec-out``) and runs a small grid of
+queries over them.  With ``verify`` every answer, items *and* access
+tallies, is checked against the reference single-node algorithm on the
+snapshot the cluster serves: the cross-process analogue of the
+multi-tenant differential suite.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.algorithms.base import get_algorithm
-from repro.columnar import ColumnarDatabase
-from repro.datagen.base import make_generator
-from repro.distributed.algorithms import (
-    DistributedBPA,
-    DistributedBPA2,
-    DistributedTA,
-)
-from repro.distributed.bench import _run_over_socket
 from repro.distributed.placement import ClusterPlacement
-from repro.distributed.socket_transport import SocketCluster, connect_ports
+from repro.distributed.socket_transport import connect_ports
 from repro.distributed.transport import NetworkBackend
 from repro.exec.drivers import DRIVERS as _ENGINE_DRIVERS
 from repro.scoring import SUM
-
-_DRIVERS = (("ta", DistributedTA), ("bpa", DistributedBPA), ("bpa2", DistributedBPA2))
-
-#: Labels whose rounds fan out over every list (so per-owner coalescing
-#: compresses them by the full ``m / owners``).  Classic BPA2 is the
-#: deliberate exception: its direct phase advances one list per frame.
-def _full_fanout(label: str) -> bool:
-    return label != "bpa2"
-
-
-def _reference_for(database, name: str, width: int, k: int):
-    if width == 1:
-        return get_algorithm(name).run(database, k, SUM)
-    return get_algorithm(f"{name}-block", width=width).run(database, k, SUM)
-
-
-def coalescing_benchmark(
-    *,
-    n: int = 2_000,
-    m: int = 4,
-    k: int = 10,
-    generator: str = "uniform",
-    seed: int = 42,
-    block_width: int = 8,
-    owner_counts: tuple[int, ...] = (0, 2, 1),
-) -> dict:
-    """Simulated-network frame counts per owner count (batch protocol).
-
-    ``owner_counts`` of ``0`` is the legacy one-owner-per-list layout
-    (no routing fields, no coalescing) — the baseline every co-located
-    configuration is compared against.  All runs are verified item- and
-    tally-identical to the reference single-node algorithm.
-    """
-    database = make_generator(generator).generate(n, m, seed=seed)
-    columnar = ColumnarDatabase.from_database(database)
-    rows: dict[str, dict] = {}
-    for name, cls in _DRIVERS:
-        for width in dict.fromkeys((1, block_width)):
-            label = name if width == 1 else f"{name}-block{width}"
-            reference = _reference_for(database, name, width, k)
-            cells: dict[str, dict] = {}
-            for count in owner_counts:
-                result = cls(
-                    protocol="batch",
-                    block_width=width,
-                    owners=count if count else None,
-                ).run(columnar, k, SUM)
-                if (
-                    result.items != reference.items
-                    or result.tally != reference.tally
-                    or result.rounds != reference.rounds
-                ):
-                    raise AssertionError(
-                        f"{label}/owners={count or m} diverges from the "
-                        "reference — this is a bug"
-                    )
-                net = result.extras["network"]
-                cells[str(count if count else m)] = {
-                    "messages": net["messages"],
-                    "bytes": net["bytes"],
-                    "rounds": net["rounds"],
-                }
-            row: dict = {
-                "accesses": reference.tally.total,
-                "results_identical_to_reference": True,
-                "full_fanout_rounds": _full_fanout(label),
-                "owners": cells,
-            }
-            baseline = cells.get(str(m))
-            for count in owner_counts:
-                cell = cells.get(str(count))
-                if count and count != m and baseline and cell:
-                    row[f"frames_reduction_{count}_owners"] = (
-                        baseline["messages"] / cell["messages"]
-                        if cell["messages"]
-                        else 0.0
-                    )
-                    row[f"bytes_reduction_{count}_owners"] = (
-                        1.0 - cell["bytes"] / baseline["bytes"]
-                        if baseline["bytes"]
-                        else 0.0
-                    )
-            rows[label] = row
-    return {
-        "config": {
-            "n": n,
-            "m": m,
-            "k": k,
-            "generator": generator,
-            "seed": seed,
-            "block_width": block_width,
-            "protocol": "batch",
-        },
-        "drivers": rows,
-    }
-
-
-def socket_cluster_benchmark(
-    *,
-    n: int = 2_000,
-    m: int = 4,
-    k: int = 10,
-    generator: str = "uniform",
-    seed: int = 42,
-    repeats: int = 3,
-    block_width: int = 8,
-    owner_counts: tuple[int, ...] = (0, 2, 1),
-    protocols: tuple[str, ...] = ("batch", "pipelined"),
-) -> dict:
-    """Frames and wall-clock over real owner processes per owner count.
-
-    One warm cluster per (owner count, position-shipping) pair serves
-    every matching driver/width/protocol cell, so the measured seconds
-    are queries, not process spawns.  Every run is verified item-,
-    tally- and round-identical to the reference.
-    """
-    database = make_generator(generator).generate(n, m, seed=seed)
-    columnar = ColumnarDatabase.from_database(database)
-    references = {
-        (name, width): _reference_for(database, name, width, k)
-        for name, _cls in _DRIVERS
-        for width in dict.fromkeys((1, block_width))
-    }
-    rows: dict[str, dict] = {}
-    for count in owner_counts:
-        for include_position, names in ((False, ("ta", "bpa2")), (True, ("bpa",))):
-            with SocketCluster(
-                columnar,
-                owners=count if count else None,
-                include_position=include_position,
-            ) as cluster, cluster.connect() as fabric:
-                owner_label = str(cluster.placement.owners)
-                for name in names:
-                    for width in dict.fromkeys((1, block_width)):
-                        label = name if width == 1 else f"{name}-block{width}"
-                        reference = references[(name, width)]
-                        cells: dict[str, dict] = {}
-                        for protocol in protocols:
-                            best = None
-                            for _ in range(max(1, repeats)):
-                                outcome, tally, stats, seconds = _run_over_socket(
-                                    cluster, fabric, name, protocol, k,
-                                    block_width=width,
-                                )
-                                if (
-                                    outcome.items != reference.items
-                                    or tally != reference.tally
-                                    or outcome.rounds != reference.rounds
-                                ):
-                                    raise AssertionError(
-                                        f"{label}/owners={owner_label}/"
-                                        f"{protocol} diverges from the "
-                                        "reference — this is a bug"
-                                    )
-                                if best is None or seconds < best["seconds"]:
-                                    best = {
-                                        "seconds": seconds,
-                                        "messages": stats.messages,
-                                        "bytes": stats.bytes,
-                                    }
-                            cells[protocol] = best
-                        row = rows.setdefault(
-                            label,
-                            {
-                                "accesses": reference.tally.total,
-                                "full_fanout_rounds": _full_fanout(label),
-                                "owners": {},
-                            },
-                        )
-                        row["owners"][owner_label] = cells
-    # Derived: co-location wins versus the one-process-per-list baseline.
-    for label, row in rows.items():
-        baseline = row["owners"].get(str(m))
-        for owner_label, cells in row["owners"].items():
-            if owner_label == str(m) or not baseline:
-                continue
-            for protocol in protocols:
-                base, cell = baseline.get(protocol), cells.get(protocol)
-                if not base or not cell:
-                    continue
-                key = f"{protocol}_{owner_label}_owners"
-                row[f"frames_reduction_{key}"] = (
-                    base["messages"] / cell["messages"]
-                    if cell["messages"]
-                    else 0.0
-                )
-                row[f"wall_speedup_{key}"] = (
-                    base["seconds"] / cell["seconds"]
-                    if cell["seconds"] > 0
-                    else 0.0
-                )
-    return {
-        "config": {
-            "n": n,
-            "m": m,
-            "k": k,
-            "generator": generator,
-            "seed": seed,
-            "repeats": repeats,
-            "block_width": block_width,
-            "protocols": list(protocols),
-            "note": (
-                "wall-clock per query on a warm cluster (best of repeats); "
-                "co-location halves/quarters the frame round trips, so the "
-                "wall win tracks per-frame syscall latency"
-            ),
-        },
-        "drivers": rows,
-    }
-
-
-def placement_rebalance_benchmark(
-    *,
-    n: int = 2_000,
-    m: int = 6,
-    k: int = 10,
-    queries: int = 30,
-    generator: str = "uniform",
-    seed: int = 42,
-    protocol: str = "batch",
-) -> dict:
-    """Feedback-driven placement: observed load mass vs a skewed layout.
-
-    A deliberately skewed placement (one owner hosting ``m - 2`` lists,
-    two owners one list each) serves a verified query mix; the per-owner
-    daemons' ``per_list`` metrics are then fed to
-    :func:`rebalance_placement`, and the proposal is measured under the
-    same mix.  The gate is deterministic: the proposal's imbalance under
-    the *observed* masses must not exceed the skewed layout's (strictly
-    better whenever the skew showed up in the signal at all) — wall
-    seconds are reported for color, not gated, since both layouts
-    answer identically.
-    """
-    if m < 4:
-        raise ValueError(f"rebalance benchmark needs m >= 4, got {m}")
-    from repro.distributed.placement import (
-        list_masses,
-        placement_balance,
-        rebalance_placement,
-    )
-
-    database = make_generator(generator).generate(n, m, seed=seed)
-    columnar = ColumnarDatabase.from_database(database)
-    reference = {
-        kk: get_algorithm("ta").run(database, kk, SUM)
-        for kk in dict.fromkeys((max(1, k // 2), k, min(n, 2 * k)))
-    }
-    ks = list(reference)
-
-    def run_phase(placement: ClusterPlacement) -> tuple[dict, list[dict]]:
-        backend = NetworkBackend(
-            columnar, protocol=protocol, placement=placement
-        )
-        seconds = 0.0
-        for query in range(max(1, queries)):
-            kk = ks[query % len(ks)]
-            for owner in range(placement.owners):
-                backend.network.request(f"owner/{owner}", "reset")
-            started = time.perf_counter()
-            outcome = _ENGINE_DRIVERS["ta"](backend, kk, SUM)
-            seconds += time.perf_counter() - started
-            if outcome.items != reference[kk].items:
-                raise AssertionError(
-                    f"rebalance benchmark diverges from the reference at "
-                    f"k={kk} — this is a bug"
-                )
-        documents = [daemon.metrics() for daemon in backend.daemons]
-        return {
-            "placement": placement.to_dict(),
-            "seconds": seconds,
-        }, documents
-
-    skewed = ClusterPlacement(
-        m=m,
-        groups=(tuple(range(m - 2)), (m - 2,), (m - 1,)),
-        strategy="skewed",
-    )
-    before, before_docs = run_phase(skewed)
-    masses = list_masses(before_docs)
-    proposal = rebalance_placement(before_docs)
-    before["balance"] = placement_balance(skewed, masses)
-    predicted = placement_balance(proposal, masses)
-    after, after_docs = run_phase(proposal)
-    after["balance"] = placement_balance(proposal, list_masses(after_docs))
-    return {
-        "config": {
-            "n": n,
-            "m": m,
-            "ks": ks,
-            "queries": queries,
-            "generator": generator,
-            "seed": seed,
-            "protocol": protocol,
-        },
-        "skewed": before,
-        "rebalanced": after,
-        "proposed_groups": [list(group) for group in proposal.groups],
-        "imbalance_before": before["balance"]["imbalance"],
-        "imbalance_predicted": predicted["imbalance"],
-        "imbalance_after": after["balance"]["imbalance"],
-        "rebalance_improves_balance": (
-            predicted["imbalance"] <= before["balance"]["imbalance"]
-        ),
-        "results_identical_to_reference": True,
-    }
-
-
-def cluster_speedup_benchmark(
-    *,
-    n: int = 2_000,
-    m: int = 4,
-    k: int = 10,
-    generator: str = "uniform",
-    seed: int = 42,
-    repeats: int = 3,
-    block_width: int = 8,
-) -> dict:
-    """The full ``reports/cluster_speedup.json`` payload.
-
-    The summary's acceptance booleans gate on the full-fan-out rows
-    (TA/BPA and every block variant): classic BPA2's direct phase is
-    single-list per frame by design, so its (reported) reduction is a
-    property of the algorithm, not a transport regression.
-    """
-    report: dict = {
-        "benchmark": "cluster_speedup",
-        "cpu_count": os.cpu_count(),
-    }
-    report["simulated"] = coalescing_benchmark(
-        n=n, m=m, k=k, generator=generator, seed=seed, block_width=block_width
-    )
-    report["socket"] = socket_cluster_benchmark(
-        n=n,
-        m=m,
-        k=k,
-        generator=generator,
-        seed=seed,
-        repeats=repeats,
-        block_width=block_width,
-    )
-    report["placement_rebalance"] = placement_rebalance_benchmark(
-        n=n, m=max(4, m), k=k, generator=generator, seed=seed
-    )
-    fanout_rows = {
-        label: row
-        for label, row in report["socket"]["drivers"].items()
-        if row["full_fanout_rounds"]
-    }
-    frame_reductions = {
-        label: row.get("frames_reduction_batch_2_owners", 0.0)
-        for label, row in fanout_rows.items()
-    }
-    wall_speedups = {
-        label: max(
-            row.get("wall_speedup_batch_2_owners", 0.0),
-            row.get("wall_speedup_pipelined_2_owners", 0.0),
-        )
-        for label, row in fanout_rows.items()
-    }
-    report["summary"] = {
-        "m": m,
-        "owners_compared": 2,
-        "frames_reduction_2_owners": frame_reductions,
-        "wall_speedup_2_owners": wall_speedups,
-        "meets_2x_frames": bool(frame_reductions)
-        and all(value >= 2.0 for value in frame_reductions.values()),
-        "wall_clock_faster": bool(wall_speedups)
-        and all(value > 1.0 for value in wall_speedups.values()),
-        "rebalance_improves_balance": report["placement_rebalance"][
-            "rebalance_improves_balance"
-        ],
-        "note": (
-            "gates cover the full-fan-out rows (ta/bpa and block "
-            "variants); classic bpa2 coalesces only its probe waves"
-        ),
-    }
-    return report
 
 
 def hammer_cluster(

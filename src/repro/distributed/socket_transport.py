@@ -10,8 +10,8 @@ owners through :class:`SocketNetwork`, which satisfies the same fabric
 interface as :class:`~repro.distributed.network.SimulatedNetwork`
 (``request`` / ``request_many`` / ``stats``), so
 :class:`~repro.distributed.transport.NetworkBackend` — and therefore the
-unified round-plan drivers, ``QueryService`` and ``dist-bench`` — run
-over real sockets unchanged.
+unified round-plan drivers and ``QueryService`` — run over real
+sockets unchanged.
 
 Wire format
 -----------
@@ -29,8 +29,7 @@ a JSON body.  Byte accounting in :class:`NetworkStats` uses the
 several lists carry a ``list`` routing field, and a round's ops for
 co-hosted lists coalesce into one ``multi`` frame per owner (see
 ``NetworkBackend.execute_plan``) — at ``owners < m`` that is the
-transport's frame reduction, measured by ``repro-topk cluster bench``
-into ``reports/cluster_speedup.json``.  :func:`send_frame` /
+transport's frame reduction.  :func:`send_frame` /
 :func:`recv_frame` frame JSON for the watch push protocol, a separate
 layer.
 
@@ -48,8 +47,8 @@ Pipelining
 Each owner connection is FIFO, and a round plan never carries two ops
 for the same list, so responses match requests by order — the batched
 protocol's sequential round trips collapse into one overlapped wave,
-which is where the pipelined protocol's wall-clock win comes from
-(``repro dist-bench`` measures it at identical message counts).  A wave
+which is where the pipelined protocol's wall-clock win comes from, at
+identical message counts.  A wave
 reads every reply before it raises its first error, so one failed op
 leaves no other owner's connection a reply behind.
 

@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.dynamic.treap import OrderStatisticTreap
-from repro.errors import DuplicateItemError, InvalidPositionError, UnknownItemError
+from repro.errors import (
+    DatabaseError,
+    DuplicateItemError,
+    InvalidPositionError,
+    UnknownItemError,
+)
 from repro.types import ItemId, ListEntry, Position, Score
 
 
@@ -47,6 +52,8 @@ class DynamicSortedList:
                 f"item {item} already in list {self._name or '?'}"
             )
         score = float(score)
+        if score != score:
+            raise self._nan_error(item)
         self._score_of[item] = score
         self._treap.insert((-score, item))
 
@@ -56,6 +63,8 @@ class DynamicSortedList:
         if old is None:
             raise UnknownItemError(f"item {item} not in list {self._name or '?'}")
         score = float(score)
+        if score != score:
+            raise self._nan_error(item)
         if score == old:
             return
         self._treap.delete((-old, item))
@@ -75,6 +84,13 @@ class DynamicSortedList:
         if current is None:
             raise UnknownItemError(f"item {item} not in list {self._name or '?'}")
         self.update(item, current + delta)
+
+    def _nan_error(self, item: ItemId) -> DatabaseError:
+        # A NaN key would break the treap's ordering: it compares false
+        # both ways, so it has no rank.
+        return DatabaseError(
+            f"item {item} in list {self._name or '?'} has a NaN local score"
+        )
 
     # ------------------------------------------------------------------
     # SortedList-compatible read API

@@ -8,10 +8,16 @@ reproducible experiments and for encoding the paper's figures verbatim.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.btree import BPlusTree
-from repro.errors import DuplicateItemError, InvalidPositionError, UnknownItemError
+from repro.errors import (
+    DatabaseError,
+    DuplicateItemError,
+    InvalidPositionError,
+    UnknownItemError,
+)
 from repro.lists.accessor import ListMirrors
 from repro.types import ItemId, ListEntry, Position, Score
 
@@ -41,6 +47,14 @@ class SortedList:
         pairs = sorted(entries, key=lambda pair: (-pair[1], pair[0]))
         self._items: tuple[ItemId, ...] = tuple(item for item, _score in pairs)
         self._scores: tuple[Score, ...] = tuple(float(score) for _item, score in pairs)
+        if any(map(math.isnan, self._scores)):
+            item = next(
+                item for item, score in zip(self._items, self._scores)
+                if math.isnan(score)
+            )
+            raise DatabaseError(
+                f"item {item} in list {name or '?'} has a NaN local score"
+            )
         self._name = name
         self._index_kind = index_kind
         if len(set(self._items)) != len(self._items):

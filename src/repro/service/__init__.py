@@ -26,16 +26,15 @@ over the simulated network transport (:mod:`repro.distributed`) when
 its cost model's network extension says so.
 
 :mod:`repro.service.workload` replays Zipf-popular workloads against a
-service (the ``repro-topk serve-workload`` CLI) and backs
-``reports/service_speedup.json``.
+service, every answer cross-checked (the ``repro-topk serve-workload``
+CLI); the timed service benchmark is ``perfbench/``.
 
 :mod:`repro.service.feedback` closes the control loop: a
 :class:`PlanFeedback` store calibrates the planner's cost predictions
 against observed latencies, an AIMD :class:`BlockWidthController` tunes
 the networked block width online, and a :class:`DriftDetector` fires
 re-tuning epochs when the workload's shape moves
-(``ServicePolicy(adaptive=True)``; benchmarked by
-:func:`adaptive_contrast` behind ``reports/adaptive_speedup.json``).
+(``ServicePolicy(adaptive=True)``).
 """
 
 from repro.service.cache import (
@@ -79,17 +78,14 @@ from repro.service.sharding import (
 from repro.service.workload import (
     WorkloadConfig,
     WorkloadMutator,
-    adaptive_contrast,
     answers_match,
     build_workload,
     dynamic_from,
     fresh_topk,
-    mutation_contrast,
     replay,
     replay_async,
     replay_with_mutations,
     run_workload,
-    speedup_benchmark,
     write_report,
 )
 
@@ -124,16 +120,13 @@ __all__ = [
     "total_variation",
     "WorkloadConfig",
     "WorkloadMutator",
-    "adaptive_contrast",
     "answers_match",
     "build_workload",
     "dynamic_from",
     "fresh_topk",
-    "mutation_contrast",
     "replay",
     "replay_async",
     "replay_with_mutations",
     "run_workload",
-    "speedup_benchmark",
     "write_report",
 ]

@@ -614,7 +614,7 @@ class QueryPlanner:
         owner *process* and the message model scales with the owner
         count, not the list count).  Bytes are estimated from the access
         payloads plus a per-message envelope — rough, but ranked the
-        same way the measured numbers come out (``repro dist-bench``).
+        same way the counted ones come out (``NetworkStats``).
         """
         if algorithm not in NETWORK_ALGORITHMS:
             raise InvalidQueryError(

@@ -1,4 +1,4 @@
-"""Datagen-driven workload replay and the service speedup benchmark.
+"""Datagen-driven workload replay through a :class:`QueryService`.
 
 A *workload* is a sequence of queries drawn from a pool of distinct
 query shapes with Zipf-skewed popularity — the canonical model of
@@ -9,10 +9,8 @@ every cache miss, and the cache sees the popularity skew it exists for.
 
 :func:`run_workload` replays one configuration and returns a JSON-ready
 summary (written under ``reports/service_*.json`` by the
-``serve-workload`` CLI).  :func:`speedup_benchmark` measures the
-unsharded-vs-sharded x cold-vs-warm grid behind
-``reports/service_speedup.json`` and cross-checks that every cached or
-sharded answer is identical to the cache-off replay.
+``serve-workload`` CLI).  A static replay is cross-checked answer by
+answer against an unsharded, cache-off replay of the same queries.
 
 **Mutation replay** (``serve-workload --mutation-rate R``): the same
 Zipf-popular query stream interleaved with a seeded stream of random
@@ -21,10 +19,11 @@ Zipf-popular query stream interleaved with a seeded stream of random
 result cache exists for.  ``--verify`` cross-checks every served answer
 (hit, revalidated, patched or fresh) against a brute-force ranking of
 the database's *current* state, bit for bit.
-:func:`mutation_contrast` replays the identical mutation-heavy stream
-under the delta-aware cache and under the legacy whole-epoch scheme
-(``delta_log_depth=0``) and backs the ``mutation_workload`` section of
-``reports/service_speedup.json``.
+
+Timings here are indicative only; the service benchmark with bounds is
+``perfbench/`` (see ``perfbench/README.md`` and ``BENCHMARK.json``),
+which reuses :class:`WorkloadMutator`, :func:`dynamic_from`,
+:func:`fresh_topk` and :func:`answers_match` from this module.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.datagen.base import make_generator
 from repro.dynamic import DynamicDatabase, DynamicSortedList
 from repro.exec.keys import QuerySpec
 from repro.reverse import brute_force_reverse_topk
-from repro.service.cache import CACHE_OUTCOMES, scoring_key
+from repro.service.cache import CACHE_OUTCOMES
 from repro.service.planner import ServicePolicy
 from repro.service.service import QueryService, ServiceResult
 from repro.types import AccessTally
@@ -540,158 +539,6 @@ def replay_with_mutations(
     return summary, results
 
 
-def mutation_contrast(
-    *,
-    n: int = 5_000,
-    m: int = 3,
-    queries: int = 300,
-    distinct: int = 30,
-    k_max: int = 16,
-    zipf_theta: float = 1.0,
-    seed: int = 42,
-    mutation_rate: float = 1.0,
-    generator: str = "uniform",
-    verify: bool = True,
-) -> dict:
-    """Delta-aware vs whole-epoch caching under a mutation-heavy replay.
-
-    The identical query+mutation stream runs twice: once with the
-    default delta log and once with ``delta_log_depth=0`` (the legacy
-    whole-epoch scheme, where any mutation expires every entry).  Both
-    replays are oracle-verified when ``verify`` is set, so the contrast
-    is between two *correct* schemes — the delta cache just proves most
-    mutations harmless instead of recomputing.
-    """
-    config = WorkloadConfig(
-        generator=generator,
-        n=n,
-        m=m,
-        seed=seed,
-        queries=queries,
-        distinct=distinct,
-        k_max=k_max,
-        zipf_theta=zipf_theta,
-        shards=1,
-        pool="serial",
-    )
-    base = build_database(config)
-    workload = build_workload(config)
-    cells: dict[str, dict] = {}
-    for label, policy in (
-        ("delta_cache", None),
-        ("whole_epoch_cache", ServicePolicy(delta_log_depth=0)),
-    ):
-        source = dynamic_from(base)
-        with QueryService(
-            source, shards=1, pool="serial", policy=policy
-        ) as service:
-            summary, _ = replay_with_mutations(
-                service,
-                workload,
-                source,
-                mutation_rate=mutation_rate,
-                seed=seed,
-                verify=verify,
-            )
-            cache = service.cache
-            summary["cache"] = {
-                "revalidated": cache.stats.revalidated,
-                "patched": cache.stats.patched,
-                "invalidations": cache.stats.invalidations,
-                "log_truncations": (
-                    service.mutation_log.truncations
-                    if service.mutation_log is not None
-                    else None
-                ),
-            }
-        cells[label] = summary
-    delta_rate = cells["delta_cache"]["reuse_rate"]
-    legacy_rate = cells["whole_epoch_cache"]["reuse_rate"]
-    return {
-        "config": {**asdict(config), "mutation_rate": mutation_rate},
-        **cells,
-        "reuse_rate_delta_vs_whole_epoch": [delta_rate, legacy_rate],
-    }
-
-
-def snapshot_refresh_benchmark(
-    *,
-    n: int = 5_000,
-    m: int = 3,
-    epochs: int = 120,
-    mutations_per_epoch: int = 4,
-    seed: int = 42,
-    generator: str = "uniform",
-) -> dict:
-    """Patched vs cold-rebuild snapshot refresh, same mutation stream.
-
-    Two services over identical dynamic databases replay the identical
-    seeded mutation stream; after every burst of ``mutations_per_epoch``
-    mutations each refreshes its columnar snapshot — one through the
-    default delta-patching path (:func:`repro.columnar.patch_database`),
-    one with ``snapshot_patch_budget=0`` (every refresh cold-rebuilds,
-    the pre-patch behavior).  Only the refresh itself is timed; query
-    execution is excluded.  Both final snapshots are cross-checked
-    byte-identical, and a final served answer is compared, so the
-    contrast is between two correct refresh strategies.
-    """
-    config = WorkloadConfig(generator=generator, n=n, m=m, seed=seed)
-    base = build_database(config)
-    spec = QuerySpec(algorithm="bpa2", k=10)
-    cells: dict[str, dict] = {}
-    answers: dict[str, tuple] = {}
-    snapshots: dict[str, object] = {}
-    for label, policy in (
-        ("patched", None),
-        ("rebuild", ServicePolicy(snapshot_patch_budget=0)),
-    ):
-        source = dynamic_from(base)
-        rng = np.random.default_rng(seed + 3)
-        with QueryService(
-            source, shards=1, pool="serial", cache_size=0, policy=policy
-        ) as service:
-            mutator = WorkloadMutator(source, rng)
-            seconds = 0.0
-            for _ in range(max(1, epochs)):
-                for _ in range(max(1, mutations_per_epoch)):
-                    mutator.apply_one()
-                started = time.perf_counter()
-                service._refresh()
-                seconds += time.perf_counter() - started
-            served = service.submit(spec)
-            snapshot = service._executor.database
-            cells[label] = {
-                "epochs": epochs,
-                "mutations_per_epoch": mutations_per_epoch,
-                "refresh_seconds_total": seconds,
-                "refresh_seconds_per_epoch": seconds / max(1, epochs),
-                "snapshot_refreshes": service.counters.snapshot_refreshes,
-                "snapshot_patches": service.counters.snapshot_patches,
-            }
-            answers[label] = (served.item_ids, served.scores)
-            snapshots[label] = snapshot
-    identical = answers["patched"] == answers["rebuild"] and all(
-        bool(np.array_equal(a.items_array, b.items_array))
-        and a.scores_array.tobytes() == b.scores_array.tobytes()
-        and bool(np.array_equal(a.rank_by_row, b.rank_by_row))
-        for a, b in zip(snapshots["patched"].lists, snapshots["rebuild"].lists)
-    )
-    rebuild_cost = cells["rebuild"]["refresh_seconds_per_epoch"]
-    patched_cost = cells["patched"]["refresh_seconds_per_epoch"]
-    return {
-        "config": {
-            **asdict(config),
-            "epochs": epochs,
-            "mutations_per_epoch": mutations_per_epoch,
-        },
-        **cells,
-        "speedup_patched_vs_rebuild": (
-            rebuild_cost / patched_cost if patched_cost > 0 else float("inf")
-        ),
-        "snapshots_identical": identical,
-    }
-
-
 def run_workload(
     config: WorkloadConfig,
     *,
@@ -960,371 +807,6 @@ def run_workload(
             else float("inf")
         )
     return report
-
-
-def adaptive_contrast(
-    *,
-    n: int = 3_000,
-    m: int = 7,
-    queries: int = 240,
-    distinct: int = 12,
-    k_max: int = 16,
-    seed: int = 42,
-    generator: str = "correlated",
-    alpha: float | None = 0.001,
-    phase_shift: int = 3,
-    adversarial_ratio: float = 0.1,
-    key_skew: float | None = None,
-    static_widths: Sequence[int] = (1, 4, 16),
-    adaptive_initial_width: int = 4,
-    feedback_min_samples: int = 2,
-    stationary_tolerance: float = 1.15,
-    verify: bool = True,
-) -> dict:
-    """Adaptive vs every static block width, phase-shifting workload.
-
-    The same phase-shifting query stream (alternating narrow-k and
-    deep-k phases with adversarial deep-stop queries sprinkled in) is
-    replayed over the simulated network once per static ``block_width``
-    and once adaptively (:class:`repro.service.feedback.AdaptiveState`:
-    feedback-calibrated planning plus the AIMD width controller).  Every
-    cell runs cache-off, serial, single-shard, so wall-clock and
-    message/byte counts measure execution, not caching.
-
-    No static width wins everywhere — narrow phases punish wide blocks
-    (wasted probes), deep phases punish narrow ones (per-round message
-    overhead) — so the adaptive controller, which converges to each
-    phase's best width within a few queries, should beat the *best*
-    static cell on wall-clock and/or combined network cost
-    (``messages * 256 + bytes``, the batch protocol's framing-dominated
-    cost).  A *stationary* replay of the same shape pins the other side:
-    adaptation overhead must stay within ``stationary_tolerance`` of the
-    best static cell's wall-clock, or match it on the deterministic
-    network cost.  With ``verify`` every served answer in every cell
-    is checked bit-identical against the brute-force oracle, and all
-    cells are cross-checked identical to each other — the contrast is
-    between equally-correct executions.
-
-    The default dataset is strongly *correlated* (``alpha = 0.001``):
-    only when the lists agree does the stop depth track ``k``, which is
-    what makes the phases genuinely disagree about the best width — on
-    uniform data even ``k = 1`` stops deeper than the widest block and
-    the widest static width quietly wins everything.
-    """
-    base = WorkloadConfig(
-        generator=generator,
-        alpha=alpha,
-        n=n,
-        m=m,
-        seed=seed,
-        queries=queries,
-        distinct=distinct,
-        k_max=k_max,
-        shards=1,
-        pool="serial",
-        cache_size=0,
-    )
-    database = build_database(base)
-    oracle = dynamic_from(database) if verify else None
-    # The database is static, so the brute-force oracle's answer for a
-    # given (k, scoring) never changes — compute each once, not per cell.
-    expected_cache: dict[tuple, tuple] = {}
-
-    def expected_for(k: int, scoring) -> tuple:
-        key = (k, scoring_key(scoring))
-        if key not in expected_cache:
-            expected_cache[key] = fresh_topk(oracle, k, scoring)
-        return expected_cache[key]
-
-    def run_cell(workload: list[QuerySpec], policy: ServicePolicy) -> dict:
-        with QueryService(
-            database, shards=1, pool="serial", cache_size=0, policy=policy
-        ) as service:
-            # Warmup replay: the adaptive cell spends its bounded
-            # exploration and converges here; static cells (and the
-            # cache-off service itself) are unaffected.  The timed pass
-            # then measures steady state — the regime a long-running
-            # service actually operates in.  Phase transitions still
-            # happen live inside the timed pass; only the one-time
-            # cold-start exploration is amortized out.
-            started = time.perf_counter()
-            service.submit_many(list(workload))
-            cold_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            results = service.submit_many(list(workload))
-            seconds = time.perf_counter() - started
-            messages = 0
-            transferred = 0
-            for served in results:
-                network = served.result.extras.get("network") or {}
-                messages += int(network.get("messages", 0))
-                transferred += int(network.get("bytes", 0))
-            cell: dict[str, object] = {
-                "seconds": seconds,
-                "cold_seconds": cold_seconds,
-                "queries_per_second": (
-                    len(results) / seconds if seconds > 0 else 0.0
-                ),
-                "messages": messages,
-                "bytes": transferred,
-                "network_cost": messages * 256 + transferred,
-            }
-            adaptive = _adaptive_summary(service)
-            if adaptive is not None:
-                cell["adaptive"] = adaptive
-            if oracle is not None:
-                mismatches = sum(
-                    not answers_match(
-                        served.item_ids,
-                        served.scores,
-                        oracle,
-                        min(spec.k, database.n),
-                        spec.scoring,
-                        expected=expected_for(
-                            min(spec.k, database.n), spec.scoring
-                        ),
-                    )
-                    for spec, served in zip(workload, results)
-                )
-                cell["verified_identical"] = mismatches == 0
-                cell["verify_mismatches"] = mismatches
-            cell["_answers"] = _served_answers(results)
-            return cell
-
-    def run_grid(workload: list[QuerySpec]) -> dict:
-        cells: dict[str, dict] = {}
-        for width in static_widths:
-            cells[f"static_w{width}"] = run_cell(
-                workload,
-                ServicePolicy(
-                    transport="network",
-                    wire_protocol="batch",
-                    block_width=int(width),
-                ),
-            )
-        cells["adaptive"] = run_cell(
-            workload,
-            ServicePolicy(
-                transport="network",
-                wire_protocol="batch",
-                block_width=adaptive_initial_width,
-                adaptive=True,
-                feedback_min_samples=feedback_min_samples,
-            ),
-        )
-        reference = cells["adaptive"]["_answers"]
-        identical = all(
-            cell["_answers"] == reference for cell in cells.values()
-        )
-        for cell in cells.values():
-            del cell["_answers"]
-        static = {
-            label: cell
-            for label, cell in cells.items()
-            if label != "adaptive"
-        }
-        best_wall = min(static, key=lambda label: static[label]["seconds"])
-        best_cost = min(
-            static, key=lambda label: static[label]["network_cost"]
-        )
-        adaptive_cell = cells["adaptive"]
-        wall_ratio = (
-            adaptive_cell["seconds"] / static[best_wall]["seconds"]
-            if static[best_wall]["seconds"] > 0
-            else float("inf")
-        )
-        cost_ratio = (
-            adaptive_cell["network_cost"] / static[best_cost]["network_cost"]
-            if static[best_cost]["network_cost"] > 0
-            else float("inf")
-        )
-        return {
-            "cells": cells,
-            "best_static_wall": best_wall,
-            "best_static_network_cost": best_cost,
-            "adaptive_wall_vs_best_static": wall_ratio,
-            "adaptive_network_cost_vs_best_static": cost_ratio,
-            "answers_identical_across_cells": identical,
-            "all_verified": (
-                all(
-                    cell.get("verified_identical", False)
-                    for cell in cells.values()
-                )
-                if verify
-                else None
-            ),
-        }
-
-    shifting_config = WorkloadConfig(
-        **{
-            **asdict(base),
-            "phase_shift": phase_shift,
-            "adversarial_ratio": adversarial_ratio,
-            "key_skew": key_skew,
-        }
-    )
-    shifting = run_grid(build_workload(shifting_config))
-    stationary = run_grid(build_workload(base))
-
-    beats_wall = shifting["adaptive_wall_vs_best_static"] < 1.0
-    beats_cost = shifting["adaptive_network_cost_vs_best_static"] < 1.0
-    # Wall-clock on a loaded box is noisy; the deterministic network
-    # accounting is the authoritative tie-breaker for the stationary
-    # side just as it is for the phase-shifting side.
-    ties = (
-        stationary["adaptive_wall_vs_best_static"] <= stationary_tolerance
-        or stationary["adaptive_network_cost_vs_best_static"] <= 1.0
-    )
-    return {
-        "benchmark": "adaptive_speedup",
-        "config": {
-            **asdict(shifting_config),
-            "static_widths": [int(w) for w in static_widths],
-            "adaptive_initial_width": adaptive_initial_width,
-            "feedback_min_samples": feedback_min_samples,
-            "stationary_tolerance": stationary_tolerance,
-        },
-        "cpu_count": os.cpu_count(),
-        "phase_shifting": shifting,
-        "stationary": stationary,
-        "summary": {
-            "adaptive_beats_best_static_wall": beats_wall,
-            "adaptive_beats_best_static_network_cost": beats_cost,
-            "adaptive_beats_best_static": beats_wall or beats_cost,
-            "adaptive_ties_stationary_within_tolerance": ties,
-            "all_verified": (
-                bool(
-                    shifting["all_verified"] and stationary["all_verified"]
-                )
-                if verify
-                else None
-            ),
-        },
-    }
-
-
-def speedup_benchmark(
-    *,
-    n: int = 100_000,
-    m: int = 3,
-    queries: int = 400,
-    distinct: int = 40,
-    k_max: int = 20,
-    shards: int = 4,
-    generator: str = "uniform",
-    zipf_theta: float = 1.0,
-    seed: int = 42,
-    pool: str = "auto",
-) -> dict:
-    """The unsharded-vs-sharded x cold-vs-warm service benchmark.
-
-    For each shard count in {1, ``shards``} the same Zipf-popular
-    workload is replayed three ways: cache off (the status-quo
-    baseline), cache on starting cold (compulsory misses included), and
-    cache on warm (an identical second replay).  All answers are
-    cross-checked against the cache-off replay.  The headline
-    ``speedup_s{S}_service_vs_unsharded_baseline`` compares the service
-    as shipped (S shards, cache on, cold start) against replaying every
-    query unsharded with no cache.
-
-    The report also carries a ``mutation_workload`` section
-    (:func:`mutation_contrast`, at a reduced scale): the same replay
-    with a mutation before every query, served once by the delta-aware
-    cache and once by the whole-epoch scheme — both oracle-verified.
-
-    Note: shard fan-out buys wall-clock time only where there are cores
-    to fan out to; ``cpu_count`` is recorded so single-core numbers read
-    as what they are.
-    """
-    config = WorkloadConfig(
-        generator=generator,
-        n=n,
-        m=m,
-        seed=seed,
-        queries=queries,
-        distinct=distinct,
-        k_max=k_max,
-        zipf_theta=zipf_theta,
-        shards=shards,
-        pool=pool,
-    )
-    database = build_database(config)
-    workload = build_workload(config)
-
-    grid: dict[str, dict] = {}
-    reference_answers: list[tuple] | None = None
-    identical = True
-    for shard_count in sorted({1, max(1, shards)}):
-        label = "unsharded" if shard_count == 1 else f"sharded_s{shard_count}"
-        cell: dict[str, object] = {"shards": shard_count}
-
-        with QueryService(
-            database, shards=shard_count, pool=pool, cache_size=0
-        ) as service:
-            off_summary, off_results = replay(service, workload)
-        cell["cache_off"] = off_summary
-        if reference_answers is None:
-            reference_answers = _served_answers(off_results)
-        else:
-            identical &= reference_answers == _served_answers(off_results)
-
-        with QueryService(
-            database, shards=shard_count, pool=pool, cache_size=1024
-        ) as service:
-            cold_summary, cold_results = replay(service, workload)
-            warm_summary, warm_results = replay(service, workload)
-        cell["cache_cold"] = cold_summary
-        cell["cache_warm"] = warm_summary
-        identical &= reference_answers == _served_answers(cold_results)
-        identical &= reference_answers == _served_answers(warm_results)
-        grid[label] = cell
-
-    sharded_label = f"sharded_s{shards}" if shards > 1 else "unsharded"
-    sharded = grid[sharded_label]
-    hit_rate = sharded["cache_cold"]["cache_hit_rate"]
-    baseline_qps = grid["unsharded"]["cache_off"]["queries_per_second"]
-    cold_qps = sharded["cache_cold"]["queries_per_second"]
-    warm_qps = sharded["cache_warm"]["queries_per_second"]
-    mutation = mutation_contrast(
-        n=min(n, 5_000),
-        m=m,
-        queries=min(queries, 300),
-        distinct=min(distinct, 30),
-        k_max=k_max,
-        zipf_theta=zipf_theta,
-        seed=seed,
-        generator=generator,
-    )
-    refresh = snapshot_refresh_benchmark(
-        n=min(n, 5_000),
-        m=m,
-        epochs=min(queries, 120),
-        seed=seed,
-        generator=generator,
-    )
-    return {
-        "benchmark": "service_speedup",
-        "config": asdict(config),
-        "cpu_count": os.cpu_count(),
-        "grid": grid,
-        "mutation_workload": mutation,
-        "snapshot_refresh": refresh,
-        "speedups": {
-            f"speedup_s{shards}_service_vs_unsharded_baseline": (
-                cold_qps / baseline_qps if baseline_qps > 0 else float("inf")
-            ),
-            f"speedup_s{shards}_warm_vs_cold_cache": (
-                warm_qps / cold_qps if cold_qps > 0 else float("inf")
-            ),
-            f"speedup_s{shards}_vs_unsharded_cache_off": (
-                sharded["cache_off"]["queries_per_second"] / baseline_qps
-                if baseline_qps > 0
-                else float("inf")
-            ),
-        },
-        "cache_hit_rate_zipf_replay": hit_rate,
-        "results_identical_to_cache_off": identical,
-    }
 
 
 def write_report(report: dict, path) -> Path:

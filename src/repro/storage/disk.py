@@ -50,6 +50,26 @@ def _index_section_offset(n: int, list_index: int) -> int:
     return _rank_section_offset(n, list_index) + n * _RANK_RECORD.size
 
 
+def _fsync_directory(directory: Path) -> None:
+    directory_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
+
+
+def _make_directories(directory: Path) -> None:
+    """Create ``directory`` and its missing parents, each entry fsynced."""
+    missing = []
+    while not directory.exists() and directory != directory.parent:
+        missing.append(directory)
+        directory = directory.parent
+    for created in reversed(missing):
+        with contextlib.suppress(FileExistsError):
+            created.mkdir()
+        _fsync_directory(created.parent)
+
+
 @contextlib.contextmanager
 def atomic_writer(path: str | Path):
     """Yield a binary handle whose contents atomically replace ``path``.
@@ -59,9 +79,12 @@ def atomic_writer(path: str | Path):
     (atomic on POSIX), then the directory entry is fsynced.  A crash or
     exception mid-write leaves the target untouched — a concurrent
     reader only ever sees the old complete file or the new complete
-    file, never a truncated hybrid.
+    file, never a truncated hybrid.  Missing parent directories are
+    created first, and each new directory's entry is fsynced in its
+    parent.
     """
     path = Path(path)
+    _make_directories(path.parent)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
@@ -72,11 +95,7 @@ def atomic_writer(path: str | Path):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        directory_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory_fd)
-        finally:
-            os.close(directory_fd)
+        _fsync_directory(path.parent)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()

@@ -22,14 +22,11 @@ Layers:
   unchanged / patched / recomputed;
 * :mod:`repro.watch.server` / :mod:`repro.watch.client` — server-push
   over the socket transport's length-prefixed frames (``watch`` /
-  ``delta`` / ``unwatch``), FIFO-safe alongside request/response;
-* :mod:`repro.watch.bench` — pushed-delta maintenance vs naive
-  re-query-per-epoch, with per-step brute-force verification
-  (``reports/watch_speedup.json``).
+  ``delta`` / ``unwatch``), FIFO-safe alongside request/response.
 
-The pure layers above the rule import no service code; the server /
-client / bench modules (which do) load lazily so ``repro.service`` can
-import this package without a cycle.
+The pure layers above the rule import no service code; the server and
+client modules (which do) load lazily so ``repro.service`` can import
+this package without a cycle.
 """
 
 from repro.watch.frames import (
@@ -54,13 +51,11 @@ __all__ = [
     "WatchStats",
     "WatchServer",
     "WatchClient",
-    "watch_speedup",
 ]
 
 _LAZY = {
     "WatchServer": ("repro.watch.server", "WatchServer"),
     "WatchClient": ("repro.watch.client", "WatchClient"),
-    "watch_speedup": ("repro.watch.bench", "watch_speedup"),
 }
 
 

@@ -39,6 +39,7 @@ import pytest
 from repro.algorithms.base import get_algorithm
 from repro.columnar import ColumnarDatabase, TotalsMemo, get_kernel
 from repro.datagen import make_generator
+from repro.errors import DatabaseError
 from repro.lists.database import Database
 from repro.scoring import SUM, WeightedSumScoring
 from repro.service.planner import ListStatistics
@@ -262,11 +263,16 @@ class TestNonFiniteScores:
         "value", [math.inf, -math.inf, math.nan, HUGE], ids=["inf", "-inf", "nan", "huge"]
     )
     def test_exact_path_answers_or_raises_as_the_reference(self, value):
-        # The references run over columnar lists too: Python's sort leaves
-        # a NaN wherever it meets it, so a pure-Python list may rank a NaN
-        # score elsewhere than the columnar layout does.  Only the
-        # stop-depth kernels run here: BPA2's replay takes no margin.
+        # Only the stop-depth kernels run here: BPA2's replay takes no margin.
         rng = np.random.default_rng(17)
+        if value != value:
+            # NaN is not a score: neither list type builds from one, so the
+            # two can never rank it differently.
+            matrix = non_finite_matrix(rng, value)
+            for build in (Database.from_score_rows, ColumnarDatabase.from_score_rows):
+                with pytest.raises(DatabaseError, match="NaN local score"):
+                    build(matrix)
+            return
         raised = answered = 0
         for case in range(12):
             matrix = non_finite_matrix(rng, value)
@@ -289,7 +295,7 @@ class TestNonFiniteScores:
                             answered += 1
                 assert memo._approximated == 0  # the exact path approximates nothing
         assert answered
-        if value != value or value == HUGE:
+        if value == HUGE:
             assert raised
 
     def test_bpa2_computes_lambda_every_round_as_the_reference(self):

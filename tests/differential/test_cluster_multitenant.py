@@ -120,6 +120,31 @@ class TestFrameCoalescing:
         assert messages[2] * 2 == messages[None]
         assert messages[1] * 4 == messages[None]
 
+    @pytest.mark.parametrize("name,cls", DRIVER_CLASSES)
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_frames_per_owner_count(self, wide_database, name, cls, width):
+        """Full-fan-out rounds (TA, BPA, every block variant) shrink by
+        exactly m / owners; classic BPA2's direct steps advance one list
+        per frame, so only its probe waves coalesce."""
+        reference = (
+            get_algorithm(name) if width == 1
+            else get_algorithm(f"{name}-block", width=width)
+        ).run(wide_database, 5, SUM)
+        messages = {}
+        for owners in (None, 2, 1):
+            result = cls(
+                protocol="batch", block_width=width, owners=owners
+            ).run(wide_database, 5, SUM)
+            assert result.items == reference.items
+            assert result.tally == reference.tally
+            assert result.rounds == reference.rounds
+            messages[owners] = result.extras["network"]["messages"]
+        if name == "bpa2" and width == 1:
+            assert messages[None] / 2 < messages[2] < messages[None]
+            assert messages[None] / 4 < messages[1] < messages[2]
+        else:
+            assert messages[None] == 2 * messages[2] == 4 * messages[1]
+
     def test_owner_count_m_is_wire_identical_to_legacy(self, wide_database):
         # placement with one list per owner must not add routing fields
         # or change a byte relative to the pre-placement transport.

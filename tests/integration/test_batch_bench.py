@@ -1,12 +1,10 @@
-"""BatchRunner, compare_backends and the `bench compare-backends` CLI."""
+"""BatchRunner over both storage backends."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.batch import BatchRunner, compare_backends, default_query_batch
+from repro.bench.batch import BatchRunner, default_query_batch
 from repro.columnar import ColumnarDatabase
 from repro.datagen import UniformGenerator
 from repro.exec import QuerySpec
@@ -144,71 +142,3 @@ class TestBatchEdgeCases:
         with pytest.raises(InvalidQueryError):
             runner.run_one(QuerySpec("bpa2", k=0))
 
-
-class TestCompareBackends:
-    def test_report_shape_and_equivalence(self):
-        report = compare_backends(n=300, m=3, queries=10, k=5, repeats=1)
-        assert report["results_identical"] is True
-        assert report["columnar_backend"]["vectorized_kernel_queries"] == 10
-        assert report["python_backend"]["seconds"] > 0
-        assert report["speedup"] > 0
-        json.dumps(report)  # must be JSON-serializable as-is
-
-    def test_repeats_do_not_warm_the_totals_memo(self, monkeypatch):
-        # Each timed repeat must pay the full cold-batch cost; totals
-        # memoized across repeats would inflate the speedup.  So every
-        # columnar repeat makes the same, non-zero number of scoring calls.
-        from repro.bench import batch as batch_module
-        from repro.scoring.functions import SumScoring
-
-        calls = []
-        call = SumScoring.__call__
-        run = batch_module.BatchRunner.run
-
-        def counting_call(scoring, scores):
-            calls.append(1)
-            return call(scoring, scores)
-
-        per_repeat = []
-
-        def counting_run(runner, queries):
-            before = len(calls)
-            report = run(runner, queries)
-            per_repeat.append((runner.backend, len(calls) - before))
-            return report
-
-        monkeypatch.setattr(SumScoring, "__call__", counting_call)
-        monkeypatch.setattr(batch_module.BatchRunner, "run", counting_run)
-        compare_backends(n=60, m=2, queries=4, k=3, repeats=3)
-        columnar = [count for backend, count in per_repeat if backend == "columnar"]
-        assert len(columnar) == 3
-        assert columnar[0] > 0 and len(set(columnar)) == 1
-
-    def test_cli_rejects_bad_k_and_queries(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "compare-backends", "--n", "50", "--k", "0"]) == 2
-        assert "--k must be in 1..50" in capsys.readouterr().err
-        assert main(["bench", "compare-backends", "--n", "50", "--k", "99"]) == 2
-        capsys.readouterr()
-        assert main(["bench", "compare-backends", "--queries", "0"]) == 2
-        assert "--queries must be >= 1" in capsys.readouterr().err
-
-    def test_cli_writes_the_json_report(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "speedup.json"
-        code = main(
-            [
-                "bench",
-                "compare-backends",
-                "--n", "200", "--m", "3", "--queries", "6", "--k", "3",
-                "--repeats", "1", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "speedup" in printed and "columnar" in printed
-        payload = json.loads(out.read_text())
-        assert payload["results_identical"] is True
-        assert payload["config"]["queries"] == 6

@@ -328,28 +328,55 @@ class TestWorkloadReplay:
         assert len({spec.k for spec in first}) <= 5
 
 
-class TestSnapshotRefreshBenchmark:
-    """The patched-refresh path must actually be cheaper than rebuilds."""
+class TestPatchedRefreshMatchesRebuild:
+    """A patched snapshot refresh lands on the bytes a cold rebuild does."""
 
-    def test_patched_refresh_beats_cold_rebuild(self):
-        from repro.service.workload import snapshot_refresh_benchmark
+    def test_patched_and_rebuilt_snapshots_are_byte_identical(self):
+        import numpy as np
 
-        report = snapshot_refresh_benchmark(
-            n=2_000, m=3, epochs=40, mutations_per_epoch=3, seed=12
+        from repro.service.workload import (
+            WorkloadMutator,
+            build_database,
+            dynamic_from,
         )
-        # Correctness first: both strategies must converge on the same
-        # bytes and the same served answer...
-        assert report["snapshots_identical"] is True
-        # ...and the patched run must have *patched* (not silently
-        # rebuilt) while the budget-0 control never did.
-        patched = report["patched"]
-        assert patched["snapshot_patches"] == patched["snapshot_refreshes"]
-        assert report["rebuild"]["snapshot_patches"] == 0
-        # The perf claim recorded in reports/service_speedup.json: a
-        # 3-item delta patch is measurably cheaper than re-sorting
-        # 3x2000 entries from scratch (observed ~8x; the floor leaves
-        # headroom for a noisy CI box).
-        assert report["speedup_patched_vs_rebuild"] > 1.2
+
+        base = build_database(WorkloadConfig(n=2_000, m=3, seed=12))
+        spec = QuerySpec("bpa2", k=10)
+        runs = {}
+        for label, policy in (
+            ("patched", None),
+            ("rebuild", ServicePolicy(snapshot_patch_budget=0)),
+        ):
+            source = dynamic_from(base)
+            mutator = WorkloadMutator(source, np.random.default_rng(15))
+            with QueryService(
+                source, shards=1, pool="serial", cache_size=0, policy=policy
+            ) as service:
+                answers = []
+                for _ in range(40):
+                    for _ in range(3):
+                        mutator.apply_one()
+                    served = service.submit(spec)
+                    answers.append((served.item_ids, served.scores))
+                counters = service.counters
+                runs[label] = (
+                    answers,
+                    service._executor.database.lists,
+                    counters.snapshot_patches,
+                    counters.snapshot_refreshes,
+                )
+        answers, lists, patches, refreshes = runs["patched"]
+        rebuilt_answers, rebuilt_lists, rebuilt_patches, _ = runs["rebuild"]
+        assert answers == rebuilt_answers
+        assert len(lists) == len(rebuilt_lists) == 3
+        for ours, theirs in zip(lists, rebuilt_lists):
+            assert ours.items_array.tobytes() == theirs.items_array.tobytes()
+            assert ours.scores_array.tobytes() == theirs.scores_array.tobytes()
+            assert ours.rank_by_row.tobytes() == theirs.rank_by_row.tobytes()
+        # The default service patched every refresh; the budget-0 control
+        # rebuilt every time.
+        assert patches == refreshes > 0
+        assert rebuilt_patches == 0
 
 
 class TestPerScoringStateIsBounded:

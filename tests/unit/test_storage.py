@@ -237,3 +237,24 @@ class TestAtomicSave:
         assert os.stat(db_path).st_ino != inode_before
         with open_database(db_path) as disk:
             assert disk.lists[0].items() == memory_db.lists[0].items()
+
+    def test_save_creates_missing_directories(
+        self, memory_db, tmp_path, monkeypatch
+    ):
+        from repro.storage import disk
+
+        synced = []
+        fsync_directory = disk._fsync_directory
+
+        def recording(directory):
+            synced.append(directory)
+            fsync_directory(directory)
+
+        monkeypatch.setattr(disk, "_fsync_directory", recording)
+        target = tmp_path / "a" / "b" / "db.bptk"
+        save_database(memory_db, target)
+        with open_database(target) as stored:
+            assert stored.lists[0].items() == memory_db.lists[0].items()
+        # Each new directory's entry is fsynced in its parent, then the
+        # target's own entry in its directory.
+        assert synced == [tmp_path, tmp_path / "a", tmp_path / "a" / "b"]
