@@ -14,13 +14,18 @@ positions per round:
   round (unlike classic TA's Lemma 2 accounting, which re-probes seen
   items).
 
+``ta-block`` and ``bpa-block`` share one sorted-block loop: BPA adds
+only the originator's best positions, and its bound scores the local
+scores at them instead of the last ones seen.
+
 Stop tests run once per block round with the round-end threshold, which
-is never larger than any intermediate one, so the returned top-k is the
-exact global top-k — bit-identical (items *and* scores) to the classic
-algorithms' answers; ``tests/differential/test_block_variants.py``
-proves it, and proves these reference implementations bit-identical
-(tallies and rounds included) to the unified round-plan engine over
-every transport.
+is never larger than any intermediate one, so the returned top-k is an
+exact global top-k: the classic algorithm's ranked scores, and its
+items unless an item outside its answer ties its k-th score;
+``tests/differential/test_block_variants.py`` holds them to that, and
+proves these reference implementations bit-identical (tallies and
+rounds included) to the unified round-plan engine over every
+transport.
 
 ``width=1`` degenerates to a memoized per-entry algorithm — still exact,
 but with fewer random accesses than the paper's accounting, which is why
@@ -32,7 +37,7 @@ from __future__ import annotations
 from repro.algorithms.base import TopKAlgorithm, TopKBuffer, register
 from repro.core.best_position import make_tracker
 from repro.errors import InvalidQueryError
-from repro.exec.plan import BlockRound
+from repro.exec.plan import BestPositions, BlockRound
 from repro.lists.accessor import DatabaseAccessor
 from repro.scoring import ScoringFunction
 from repro.types import ItemId, Position, Score
@@ -72,17 +77,22 @@ class _BlockAlgorithm(TopKAlgorithm):
         return probed
 
 
-@register
-class BlockTA(_BlockAlgorithm):
-    """TA with block sorted access and deduplicated completion."""
+class _SortedBlockAlgorithm(_BlockAlgorithm):
+    """The sorted-block loop of ``ta-block`` and ``bpa-block``: BPA's
+    only additions are the originator's :class:`BestPositions`, and its
+    bound scores the local scores at the best positions."""
 
-    name = "ta-block"
+    #: the stop bound's ``extras`` key; ``"lambda"`` makes the loop BPA's
+    bound_name = "threshold"
 
     def _execute(self, accessor: DatabaseAccessor, k, scoring):
         m, n = accessor.m, accessor.n
         buffer = TopKBuffer(k)
         seen: set[ItemId] = set()
         last: list[Score] = [0.0] * m
+        best = None
+        if self.bound_name == "lambda":
+            best = BestPositions(self._tracker_kind, m, n)
         position = 0
         rounds = 0
         while True:
@@ -93,58 +103,35 @@ class BlockTA(_BlockAlgorithm):
                 entries = accessor[i].sorted_block(count)
                 last[i] = entries[-1].score
                 block.add(i, [(entry.item, entry.score) for entry in entries])
+                if best is not None:
+                    best.note(i, [(entry.score, entry.position) for entry in entries])
             position += count
-            self._probe(accessor, block)
+            probed = self._probe(accessor, block)
+            if best is not None:
+                for j, pairs in enumerate(probed):
+                    best.note(j, pairs)
             block.complete(buffer, scoring)
-            threshold = scoring(last)
-            if buffer.all_at_least(threshold) or position >= n:
+            bound = scoring(last if best is None else best.bound_scores())
+            if buffer.all_at_least(bound) or position >= n:
                 return buffer.ranked(), rounds, position, {
-                    "threshold": threshold,
+                    self.bound_name: bound,
                     "block_width": self._width,
                 }
 
 
 @register
-class BlockBPA(_BlockAlgorithm):
+class BlockTA(_SortedBlockAlgorithm):
+    """TA with block sorted access and deduplicated completion."""
+
+    name = "ta-block"
+
+
+@register
+class BlockBPA(_SortedBlockAlgorithm):
     """BPA with block sorted access; best positions at the originator."""
 
     name = "bpa-block"
-
-    def _execute(self, accessor: DatabaseAccessor, k, scoring):
-        m, n = accessor.m, accessor.n
-        buffer = TopKBuffer(k)
-        seen: set[ItemId] = set()
-        trackers = [make_tracker(self._tracker_kind, n) for _ in range(m)]
-        seen_scores: list[dict[Position, Score]] = [{} for _ in range(m)]
-        position = 0
-        rounds = 0
-
-        def note(i: int, pos: Position, score: Score) -> None:
-            trackers[i].mark(pos)
-            seen_scores[i][pos] = score
-
-        while True:
-            rounds += 1
-            count = min(self._width, n - position)
-            block = BlockRound(m, seen)
-            for i in range(m):
-                entries = accessor[i].sorted_block(count)
-                for entry in entries:
-                    note(i, entry.position, entry.score)
-                block.add(i, [(entry.item, entry.score) for entry in entries])
-            position += count
-            for j, probed in enumerate(self._probe(accessor, block)):
-                for score, pos in probed:
-                    note(j, pos, score)
-            block.complete(buffer, scoring)
-            lam = scoring(
-                [seen_scores[i][trackers[i].best_position] for i in range(m)]
-            )
-            if buffer.all_at_least(lam) or position >= n:
-                return buffer.ranked(), rounds, position, {
-                    "lambda": lam,
-                    "block_width": self._width,
-                }
+    bound_name = "lambda"
 
 
 @register

@@ -7,19 +7,25 @@ scores.  Traces power the walkthrough example and make per-round
 invariants testable — most importantly the inequality at the heart of
 Lemma 1: ``lambda(p) <= delta(p)`` at every round.
 
-Tracing re-implements the scan loop (rather than instrumenting the
-production classes) so the production code stays lean; equivalence with
-the production algorithms is asserted by
-``tests/integration/test_analysis.py`` (same stop rounds, same answers).
+A trace is a view of the snapshot walk the TA and BPA kernels search
+(:mod:`repro.columnar.walk`), read depth by depth: after ``p`` rounds
+both algorithms have seen the rows of
+:meth:`~repro.columnar.walk.FirstSeenPrefix.seen_by`, scored through the
+snapshot's :class:`~repro.columnar.walk.TotalsMemo`, and their bounds
+score row ``p - 1`` of ``threshold_scores`` or ``lambda_scores``.  So
+the per-round checks in ``tests/integration/test_analysis.py`` run on
+the production arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algorithms.base import TopKBuffer
-from repro.core.best_position import make_tracker
-from repro.lists.database import Database
+import numpy as np
+
+from repro.columnar import ColumnarDatabase
+from repro.errors import InvalidQueryError
+from repro.lists.accessor import DatabaseLike
 from repro.scoring import SUM, ScoringFunction
 from repro.types import Score
 
@@ -36,81 +42,41 @@ class RoundTrace:
 
 
 def trace_ta(
-    database: Database, k: int, scoring: ScoringFunction = SUM
+    database: DatabaseLike, k: int, scoring: ScoringFunction = SUM
 ) -> list[RoundTrace]:
     """Round-by-round trace of TA on ``database``."""
-    m, n = database.m, database.n
-    buffer = TopKBuffer(k)
-    seen: set[int] = set()
-    rounds: list[RoundTrace] = []
-    for position in range(1, n + 1):
-        last_scores = []
-        for lst in database.lists:
-            entry = lst.entry_at(position)
-            last_scores.append(entry.score)
-            if entry.item not in seen:
-                seen.add(entry.item)
-                overall = scoring(
-                    [other.lookup(entry.item)[0] for other in database.lists]
-                )
-                buffer.add(entry.item, overall)
-        threshold = scoring(last_scores)
-        stopped = buffer.all_at_least(threshold)
-        rounds.append(
-            RoundTrace(
-                position=position,
-                threshold=threshold,
-                top_scores=tuple(e.score for e in buffer.ranked()),
-                stopped=stopped,
-            )
-        )
-        if stopped:
-            break
-    return rounds
+    return _trace(database, k, scoring, bpa=False)
 
 
 def trace_bpa(
-    database: Database, k: int, scoring: ScoringFunction = SUM
+    database: DatabaseLike, k: int, scoring: ScoringFunction = SUM
 ) -> list[RoundTrace]:
     """Round-by-round trace of BPA on ``database``."""
-    m, n = database.m, database.n
-    buffer = TopKBuffer(k)
-    seen: set[int] = set()
-    trackers = [make_tracker("bitarray", n) for _ in range(m)]
+    return _trace(database, k, scoring, bpa=True)
+
+
+def _trace(
+    database: DatabaseLike, k: int, scoring: ScoringFunction, *, bpa: bool
+) -> list[RoundTrace]:
+    """Every round up to the first whose stop test holds, or ``n``."""
+    if k < 1:
+        raise InvalidQueryError(f"k must be >= 1, got {k}")
+    database = ColumnarDatabase.from_database(database)
+    prefix = database.first_seen_prefix()
+    memo = database.totals_memo(scoring)
+    bound_scores = prefix.lambda_scores if bpa else prefix.threshold_scores
     rounds: list[RoundTrace] = []
-    for position in range(1, n + 1):
-        for index, lst in enumerate(database.lists):
-            entry = lst.entry_at(position)
-            trackers[index].mark(entry.position)
-            if entry.item not in seen:
-                seen.add(entry.item)
-                local = []
-                for other_index, other in enumerate(database.lists):
-                    score, pos = other.lookup(entry.item)
-                    local.append(score)
-                    trackers[other_index].mark(pos)
-                buffer.add(entry.item, scoring(local))
-            else:
-                # Re-probes reveal (already-marked) positions; mirror the
-                # production algorithm's marking behaviour.
-                for other_index, other in enumerate(database.lists):
-                    if other_index != index:
-                        _score, pos = other.lookup(entry.item)
-                        trackers[other_index].mark(pos)
-        best_positions = tuple(t.best_position for t in trackers)
-        lam = scoring(
-            [
-                database.lists[i].score_at(bp)
-                for i, bp in enumerate(best_positions)
-            ]
-        )
-        stopped = buffer.all_at_least(lam)
+    for position in range(1, database.n + 1):
+        totals = memo.totals_of(prefix.rows[: prefix.seen_by(position)])
+        top = tuple(np.sort(totals)[::-1][:k].tolist())
+        bound = scoring(bound_scores(position)[position - 1].tolist())
+        stopped = len(top) == k and top[-1] >= bound
         rounds.append(
             RoundTrace(
                 position=position,
-                threshold=lam,
-                top_scores=tuple(e.score for e in buffer.ranked()),
-                best_positions=best_positions,
+                threshold=bound,
+                top_scores=top,
+                best_positions=prefix.best_positions(position) if bpa else (),
                 stopped=stopped,
             )
         )

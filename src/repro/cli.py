@@ -720,8 +720,7 @@ def _cmd_serve_workload(args: argparse.Namespace) -> int:
             )
         ) or "untuned"
         print(f"adaptive: {adaptive['drift_epochs']} drift epochs, "
-              f"{adaptive['replans']} re-plans over {adaptive['arms']} arms "
-              f"(plan generation {adaptive['plan_generation']})")
+              f"{adaptive['replans']} re-plans over {adaptive['arms']} arms")
         print(f"  block widths served: {widths} "
               f"({adaptive['width_adjustments']} adjustments)")
     if args.verify:

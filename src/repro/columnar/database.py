@@ -18,14 +18,16 @@ feed the vectorized engine:
   first);
 * :meth:`first_seen_prefix` — the scoring-independent
   :class:`FirstSeenPrefix` (which rows parallel sorted access has seen by
-  each depth), the one walk the planner and the TA/BPA kernels share;
+  each depth), the one walk the planner, the TA/BPA kernels and the
+  round traces share;
 * :meth:`layout` — the scalar-indexable :class:`DatabaseLayout` the
-  replaying kernels (BPA2, NRA, QC) read.
+  replaying kernels (BPA2, NRA, QC) read, derived once per snapshot on
+  first read (a patched successor derives its own).
 
 Conversions: :meth:`from_database` / :meth:`to_database` move between
-the backends; both directions preserve the canonical (score desc, item
-asc) layout bit-for-bit, which the differential suite under
-``tests/differential/`` asserts.
+the backends, carrying explicit labels only; both directions preserve
+the canonical (score desc, item asc) layout bit-for-bit, which the
+differential suite under ``tests/differential/`` asserts.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.scoring import ScoringFunction, scoring_key
 from repro.types import ItemId, Score
 
 #: Most scorings whose per-scoring state one snapshot keeps: its
-#: :class:`TotalsMemo` table, and the planner's statistics and plan memo.
+#: :class:`TotalsMemo` table, and the planner's statistics.
 MAX_SCORINGS = 64
 #: Rows the memos of one snapshot may hold between them, so memory stays
 #: flat in ``n`` as well as in the number of scorings: the full
@@ -89,34 +91,6 @@ class DatabaseLayout:
             self.score_at.append(columnar_list.scores_array.tolist())
         #: row -> its 1-based position in every list (list order).
         self.pos1_by_row: list[list[int]] = (position_matrix.T + 1).tolist()
-
-    @classmethod
-    def patched(
-        cls,
-        previous: "DatabaseLayout",
-        database: "ColumnarDatabase",
-        touched: Sequence[int],
-    ) -> "DatabaseLayout":
-        """Carry a predecessor's layout forward across a snapshot patch.
-
-        Valid only when the patch changed no membership (``database`` has
-        exactly ``previous``'s item rows): the row -> id list ``ids`` is
-        shared outright, untouched lists keep their per-list structures
-        by reference, and only the lists in ``touched`` re-derive theirs.
-        ``pos1_by_row`` is cross-list and rebuilt from the (cheap,
-        array-reusing) position matrix.
-        """
-        layout = cls.__new__(cls)
-        layout.ids = previous.ids
-        layout.rows_at = list(previous.rows_at)
-        layout.score_at = list(previous.score_at)
-        position_matrix = database.position_matrix()
-        for i in touched:
-            ranks = position_matrix[i]
-            layout.rows_at[i] = ranks.argsort().tolist()
-            layout.score_at[i] = database.lists[i].scores_array.tolist()
-        layout.pos1_by_row = (position_matrix.T + 1).tolist()
-        return layout
 
 
 class ColumnarDatabase:
@@ -204,14 +178,13 @@ class ColumnarDatabase:
 
     @classmethod
     def from_database(cls, database) -> "ColumnarDatabase":
-        """Convert a row-oriented :class:`repro.lists.database.Database`."""
+        """Convert a row-oriented :class:`repro.lists.database.Database`,
+        with its explicit labels (a disk database holds none)."""
         lists = [
             ColumnarList.from_sorted_list(sorted_list)
             for sorted_list in database.lists
         ]
-        labels = {item: database.label(item) for item in database.item_ids}
-        defaults = {item: f"item {item}" for item in database.item_ids}
-        return cls(lists, labels=None if labels == defaults else labels)
+        return cls(lists, labels=getattr(database, "_labels", None))
 
     def to_database(self):
         """Convert back to the pure-Python backend."""

@@ -12,12 +12,13 @@ every datagen family.
 
 The snapshot stays immutable: patching builds a *new*
 :class:`ColumnarDatabase` and new :class:`ColumnarList` objects only for
-the touched columns, sharing the untouched lists (and, when membership
-is unchanged, the predecessor's derived
-:class:`~repro.columnar.database.DatabaseLayout`) by reference.  With
+the touched columns, sharing the untouched lists by reference.  With
 membership unchanged the per-scoring
 :class:`~repro.columnar.database.TotalsMemo` entries carry over too:
 untouched rows keep their overall scores, re-scored rows start over.
+The scalar :class:`~repro.columnar.database.DatabaseLayout` never
+carries: the successor derives its own on first read, so only a
+snapshot that a BPA2, NRA or QC query reads pays for one.
 That structural sharing is what makes snapshots epoch-versioned views:
 in-flight queries keep reading the object they captured while the
 service publishes the patched successor.
@@ -51,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.columnar.columnar_list import ColumnarList
-from repro.columnar.database import ColumnarDatabase, DatabaseLayout
+from repro.columnar.database import ColumnarDatabase
 from repro.dynamic.database import MutationEvent
 
 
@@ -234,13 +235,11 @@ def patch_database(
     ranks = np.arange(n_new, dtype=np.int64)
 
     new_lists: list[ColumnarList] = []
-    touched_lists: list[int] = []
     for i, old_list in enumerate(lists):
         moved = changed[i]
         if not membership_changed and not moved.any():
             new_lists.append(old_list)  # epoch-versioned structural share
             continue
-        touched_lists.append(i)
         moved_rows = stayed_rows[moved]
         old_ranks = old_list._rank_by_row
         items, scores = old_list._items, old_list._scores
@@ -279,13 +278,6 @@ def patch_database(
         labels.pop(item, None)
     patched = ColumnarDatabase(new_lists, labels=labels or None)
     if not membership_changed:
-        # Layout memoization tracks the patched snapshot: the kernels'
-        # QueryContext, which derived the predecessor's layout, gets the
-        # successor's without a from-scratch derivation on first query.
-        if database._layout is not None:
-            patched._layout = DatabaseLayout.patched(
-                database._layout, patched, touched_lists
-            )
-        # So do the per-scoring totals: only re-scored rows start over.
+        # The per-scoring totals carry over: only re-scored rows start over.
         database.carry_memos(patched, stayed_rows[rescored].tolist())
     return patched

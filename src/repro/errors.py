@@ -112,4 +112,5 @@ class StorageError(ReproError):
 
 
 class CorruptFileError(StorageError):
-    """A database file failed validation (bad magic, version or size)."""
+    """A database file failed validation (bad magic, version or size, or
+    a NaN score met on read)."""

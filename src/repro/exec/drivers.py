@@ -12,6 +12,11 @@ TCP sockets.  ``tests/differential/`` proves every combination
 bit-identical — ranked answers *and* per-mode access tallies — to the
 reference single-node algorithms.
 
+There is one planner per round shape: TA and BPA share the classic and
+the block sorted-round loops, where BPA adds only the originator's
+:class:`~repro.exec.plan.BestPositions` and bounds by the local scores
+at the best positions, not the last ones seen.  BPA2 keeps its own two.
+
 The **classic** planners mirror the reference implementations exactly:
 
 * TA / BPA: ``m`` parallel sorted accesses per round, then ``m - 1``
@@ -39,8 +44,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
 from repro.algorithms.base import TopKBuffer
-from repro.core.best_position import make_tracker
 from repro.exec.plan import (
+    BestPositions,
     BlockRound,
     DirectBlock,
     DirectResult,
@@ -106,11 +111,15 @@ def _round_lookups(m: int, round_items: list[ItemId]) -> list[list[ItemId]]:
     ]
 
 
-def _plan_ta(m: int, n: int, k: int, scoring: ScoringFunction) -> Planner:
-    """TA's coordinator loop as a round planner."""
+def _plan_sorted(
+    m: int, n: int, k: int, scoring: ScoringFunction, tracker: str | None
+) -> Planner:
+    """TA's coordinator loop as a round planner; BPA's given a ``tracker``
+    kind, with seen positions travelling to the originator."""
     buffer = TopKBuffer(k)
     seen: set[ItemId] = set()
     last: list[Score] = [0.0] * m
+    best = None if tracker is None else BestPositions(tracker, m, n)
     position = 0
     while True:
         position += 1
@@ -119,13 +128,18 @@ def _plan_ta(m: int, n: int, k: int, scoring: ScoringFunction) -> Planner:
         )
         round_items: list[ItemId] = []
         for i in range(m):
-            item, score, _pos = sorted_results[i].entries[0]
+            item, score, pos = sorted_results[i].entries[0]
             last[i] = score
             round_items.append(item)
+            if best is not None:
+                best.note(i, ((score, pos),))
         # Lemma 2 accounting: every surfaced entry probes the other
         # m - 1 lists, already-seen items included.
         need = _round_lookups(m, round_items)
         lookups = _probe_results(need, (yield _probe_plan(need)))
+        if best is not None:
+            for j in range(m):
+                best.note(j, lookups[j])
         for i in range(m):
             item = round_items[i]
             if item in seen:
@@ -137,56 +151,8 @@ def _plan_ta(m: int, n: int, k: int, scoring: ScoringFunction) -> Planner:
                 if j != i:
                     local[j] = lookups[j][i - (1 if i > j else 0)][0]
             buffer.add(item, scoring(local))
-        if buffer.all_at_least(scoring(last)) or position >= n:
-            return DriverOutcome(buffer.ranked(), position, position)
-
-
-def _plan_bpa(
-    m: int, n: int, k: int, scoring: ScoringFunction, tracker: str
-) -> Planner:
-    """BPA's coordinator loop: seen positions travel to the originator."""
-    buffer = TopKBuffer(k)
-    seen: set[ItemId] = set()
-    trackers = [make_tracker(tracker, n) for _ in range(m)]
-    seen_scores: list[dict[Position, Score]] = [{} for _ in range(m)]
-    position = 0
-
-    def note(i: int, pos: Position, score: Score) -> None:
-        trackers[i].mark(pos)
-        seen_scores[i][pos] = score
-
-    while True:
-        position += 1
-        sorted_results: list[SortedResult] = yield RoundPlan(
-            ops=tuple(SortedFetch(i, 1) for i in range(m))
-        )
-        round_items: list[ItemId] = []
-        round_scores: list[Score] = []
-        for i in range(m):
-            item, score, pos = sorted_results[i].entries[0]
-            note(i, pos, score)
-            round_items.append(item)
-            round_scores.append(score)
-        need = _round_lookups(m, round_items)
-        lookups = _probe_results(need, (yield _probe_plan(need)))
-        for j in range(m):
-            for score, pos in lookups[j]:
-                note(j, pos, score)
-        for i in range(m):
-            item = round_items[i]
-            if item in seen:
-                continue
-            seen.add(item)
-            local = [0.0] * m
-            local[i] = round_scores[i]
-            for j in range(m):
-                if j != i:
-                    local[j] = lookups[j][i - (1 if i > j else 0)][0]
-            buffer.add(item, scoring(local))
-        lam = scoring(
-            [seen_scores[i][trackers[i].best_position] for i in range(m)]
-        )
-        if buffer.all_at_least(lam) or position >= n:
+        bound = scoring(last if best is None else best.bound_scores())
+        if buffer.all_at_least(bound) or position >= n:
             return DriverOutcome(buffer.ranked(), position, position)
 
 
@@ -231,7 +197,7 @@ def _plan_bpa2(
             progressed = True
             item, score = result.entries[0]
             if item in seen:
-                continue  # cannot happen (Theorem 5); kept for safety
+                continue  # pragma: no cover - cannot happen (Theorem 5)
             seen.add(item)
             local = [0.0] * m
             local[i] = score
@@ -244,7 +210,7 @@ def _plan_bpa2(
                     pre[j].append(item)
                 else:
                     post[j].append(item)
-        if not opened:
+        if not opened:  # pragma: no cover - no round starts all-exhausted
             # Every list exhausted: the round still opens (and counts)
             # before the final stop test, as the reference loop does.
             yield RoundPlan(ops=())
@@ -292,13 +258,20 @@ def _resolve_width(width: WidthSpec) -> int:
     return int(value)
 
 
-def _plan_ta_block(
-    m: int, n: int, k: int, scoring: ScoringFunction, width: WidthSpec
+def _plan_block(
+    m: int,
+    n: int,
+    k: int,
+    scoring: ScoringFunction,
+    width: WidthSpec,
+    tracker: str | None,
 ) -> Planner:
-    """Block TA: sorted blocks, then one completion per distinct item."""
+    """Block TA: sorted blocks, then one completion per distinct item;
+    block BPA given a ``tracker`` kind (see :func:`_plan_sorted`)."""
     buffer = TopKBuffer(k)
     seen: set[ItemId] = set()
     last: list[Score] = [0.0] * m
+    best = None if tracker is None else BestPositions(tracker, m, n)
     position = 0
     rounds = 0
     while True:
@@ -313,59 +286,17 @@ def _plan_ta_block(
             entries = sorted_results[i].entries
             last[i] = entries[-1][1]
             block.add(i, entries)
+            if best is not None:
+                best.note(i, [(score, pos) for _item, score, pos in entries])
         needs = block.probe_needs()
         results = _probe_results(needs, (yield _probe_plan(needs)))
         for j in range(m):
+            if best is not None:
+                best.note(j, results[j])
             block.fill(j, needs[j], results[j])
         block.complete(buffer, scoring)
-        if buffer.all_at_least(scoring(last)) or position >= n:
-            return DriverOutcome(buffer.ranked(), rounds, position)
-
-
-def _plan_bpa_block(
-    m: int,
-    n: int,
-    k: int,
-    scoring: ScoringFunction,
-    width: WidthSpec,
-    tracker: str,
-) -> Planner:
-    """Block BPA: sorted blocks + originator-side best positions."""
-    buffer = TopKBuffer(k)
-    seen: set[ItemId] = set()
-    trackers = [make_tracker(tracker, n) for _ in range(m)]
-    seen_scores: list[dict[Position, Score]] = [{} for _ in range(m)]
-    position = 0
-    rounds = 0
-
-    def note(i: int, pos: Position, score: Score) -> None:
-        trackers[i].mark(pos)
-        seen_scores[i][pos] = score
-
-    while True:
-        rounds += 1
-        count = min(_resolve_width(width), n - position)
-        sorted_results: list[SortedResult] = yield RoundPlan(
-            ops=tuple(SortedFetch(i, count) for i in range(m))
-        )
-        position += count
-        block = BlockRound(m, seen)
-        for i in range(m):
-            entries = sorted_results[i].entries
-            for _item, score, pos in entries:
-                note(i, pos, score)
-            block.add(i, entries)
-        needs = block.probe_needs()
-        results = _probe_results(needs, (yield _probe_plan(needs)))
-        for j in range(m):
-            for score, pos in results[j]:
-                note(j, pos, score)
-            block.fill(j, needs[j], results[j])
-        block.complete(buffer, scoring)
-        lam = scoring(
-            [seen_scores[i][trackers[i].best_position] for i in range(m)]
-        )
-        if buffer.all_at_least(lam) or position >= n:
+        bound = scoring(last if best is None else best.bound_scores())
+        if buffer.all_at_least(bound) or position >= n:
             return DriverOutcome(buffer.ranked(), rounds, position)
 
 
@@ -421,7 +352,7 @@ def run_ta(
     backend: NetworkBackend, k: int, scoring: ScoringFunction
 ) -> DriverOutcome:
     """TA's coordinator loop over list owners."""
-    return drive(_plan_ta(backend.m, backend.n, k, scoring), backend)
+    return drive(_plan_sorted(backend.m, backend.n, k, scoring, None), backend)
 
 
 def run_bpa(
@@ -433,7 +364,7 @@ def run_bpa(
 ) -> DriverOutcome:
     """BPA over list owners; needs positions in lookup responses."""
     _require_positions(backend)
-    return drive(_plan_bpa(backend.m, backend.n, k, scoring, tracker), backend)
+    return drive(_plan_sorted(backend.m, backend.n, k, scoring, tracker), backend)
 
 
 def run_bpa2(
@@ -452,7 +383,7 @@ def run_ta_block(
 ) -> DriverOutcome:
     """Block TA over list owners (``width`` positions per round)."""
     _require_width(width)
-    return drive(_plan_ta_block(backend.m, backend.n, k, scoring, width), backend)
+    return drive(_plan_block(backend.m, backend.n, k, scoring, width, None), backend)
 
 
 def run_bpa_block(
@@ -467,7 +398,7 @@ def run_bpa_block(
     _require_width(width)
     _require_positions(backend)
     return drive(
-        _plan_bpa_block(backend.m, backend.n, k, scoring, width, tracker),
+        _plan_block(backend.m, backend.n, k, scoring, width, tracker),
         backend,
     )
 

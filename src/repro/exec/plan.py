@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence, Union
 
+from repro.core.best_position import make_tracker
 from repro.types import ItemId, Position, Score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,7 +170,7 @@ def drive(planner: Planner, backend: "NetworkBackend") -> "DriverOutcome":
 
 
 # ----------------------------------------------------------------------
-# Shared block-round bookkeeping
+# Shared round bookkeeping
 # ----------------------------------------------------------------------
 
 
@@ -239,6 +240,34 @@ class BlockRound:
         add = buffer.add
         for item, vector in self.vectors.items():
             add(item, scoring(vector))
+
+
+class BestPositions:
+    """BPA's originator-side state in the sorted-round loops it shares
+    with TA: per list, a best-position tracker and the local score seen
+    at every marked position.  Lambda scores :meth:`bound_scores`."""
+
+    __slots__ = ("trackers", "scores")
+
+    def __init__(self, kind: str, m: int, n: int) -> None:
+        self.trackers = [make_tracker(kind, n) for _ in range(m)]
+        self.scores: list[dict[Position, Score]] = [{} for _ in range(m)]
+
+    def note(
+        self, list_index: int, pairs: Iterable[tuple[Score, Position]]
+    ) -> None:
+        """Mark every ``(score, position)`` list ``list_index`` revealed."""
+        mark, scores = self.trackers[list_index].mark, self.scores[list_index]
+        for score, position in pairs:
+            mark(position)
+            scores[position] = score
+
+    def bound_scores(self) -> list[Score]:
+        """The local scores at the best positions, in list order."""
+        return [
+            scores[tracker.best_position]
+            for scores, tracker in zip(self.scores, self.trackers)
+        ]
 
 
 def group_ops_by_owner(

@@ -5,15 +5,16 @@ list statistics.  This module closes the loop with three controllers
 fed from completed queries:
 
 * :class:`PlanFeedback` — per (algorithm, transport, workload-signature)
-  *arms* accumulate EWMA-smoothed observed seconds next to the cost the
-  model predicted for the same run.  A global seconds-per-cost-unit rate
-  converts the observations back into cost units, and
+  *arms* accumulate EWMA-smoothed observed seconds.  A global
+  seconds-per-cost-unit rate (observed seconds over the cost the model
+  predicted for the same run) converts them back into cost units, and
   :meth:`repro.types.CostModel.calibrate` blends them with the static
   predictions.  Selection is guarded: an arm participates only after
   ``min_samples`` observations, a challenger must beat the incumbent by
   the hysteresis ``tolerance``, and while any candidate arm is immature
   the least-sampled one is explored (safe — every candidate algorithm
-  is exact, so answers never depend on the choice).
+  is exact, so answers never depend on the choice).  The planner reads
+  it on every plan it makes, that is on every cache miss.
 * :class:`BlockWidthController` — AIMD over the width lattice
   ``{1, 2, 4, 8, 16}``, one controller per transport, tuned from
   observed round latencies exactly the way
@@ -24,8 +25,8 @@ fed from completed queries:
 * :class:`DriftDetector` — total-variation divergence between
   consecutive windows of bucketed query-spec keys.  A divergence above
   the threshold declares a drift epoch: the service bumps
-  ``drift_epochs``, invalidates memoized plans, and re-tunes shard
-  count and cache overfetch for the new regime.
+  ``drift_epochs``, drops every signature's incumbent arm, and re-tunes
+  shard count and cache overfetch for the new regime.
 
 Everything here is transport- and algorithm-agnostic bookkeeping; the
 wiring lives in :class:`repro.service.service.QueryService`.
@@ -64,7 +65,6 @@ class ArmStats:
 
     samples: int = 0
     ewma_seconds: float = 0.0
-    ewma_predicted: float = 0.0
     ewma_messages: float = 0.0
     ewma_rounds: float = 0.0
 
@@ -72,22 +72,17 @@ class ArmStats:
         self,
         *,
         seconds: float,
-        predicted: float,
         messages: float,
         rounds: float,
         smoothing: float,
     ) -> None:
         if self.samples == 0:
             self.ewma_seconds = seconds
-            self.ewma_predicted = predicted
             self.ewma_messages = messages
             self.ewma_rounds = rounds
         else:
             keep = 1.0 - smoothing
             self.ewma_seconds = keep * self.ewma_seconds + smoothing * seconds
-            self.ewma_predicted = (
-                keep * self.ewma_predicted + smoothing * predicted
-            )
             self.ewma_messages = keep * self.ewma_messages + smoothing * messages
             self.ewma_rounds = keep * self.ewma_rounds + smoothing * rounds
         self.samples += 1
@@ -96,14 +91,9 @@ class ArmStats:
 class PlanFeedback:
     """Observed-cost store + guarded arm selection for the planner.
 
-    ``generation`` is a monotone counter the planner memoizes against:
-    a memoized :class:`~repro.service.planner.PlanDecision` stays valid
-    until the generation moves, which happens only when new evidence
-    could change a decision (an immature arm matured a step, an
-    observation diverged from its prediction beyond ``tolerance``, or a
-    drift epoch invalidated everything).  Stationary workloads whose
-    predictions hold therefore keep the memoized plan — the hysteresis
-    property the tests pin.
+    New evidence counts from the next plan, that is the next cache
+    miss, on; :meth:`select`'s hysteresis keeps a stationary workload
+    on its incumbent.
     """
 
     def __init__(
@@ -113,7 +103,6 @@ class PlanFeedback:
         min_samples: int = 5,
         tolerance: float = 0.25,
         blend: float = 0.5,
-        reelect_every: int = 16,
     ) -> None:
         if not 0.0 < smoothing <= 1.0:
             raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
@@ -123,20 +112,10 @@ class PlanFeedback:
             raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         if not 0.0 <= blend <= 1.0:
             raise ValueError(f"blend must be in [0, 1], got {blend}")
-        if reelect_every < 0:
-            raise ValueError(
-                f"reelect_every must be >= 0, got {reelect_every}"
-            )
         self.smoothing = smoothing
         self.min_samples = min_samples
         self.tolerance = tolerance
         self.blend = blend
-        #: every N records the generation bumps unconditionally, so a
-        #: signature frozen on a stale incumbent (mature arms, no
-        #: divergence) still gets periodically re-elected; 0 disables.
-        self.reelect_every = reelect_every
-        self._records = 0
-        self.generation = 0
         self.replans = 0
         self._arms: dict[tuple, ArmStats] = {}
         self._incumbents: dict[tuple, str] = {}
@@ -165,18 +144,11 @@ class PlanFeedback:
         rounds: int = 0,
         messages: int = 0,
     ) -> None:
-        """Fold one completed execution into its arm.
-
-        Bumps ``generation`` (invalidating memoized plans) only when the
-        new evidence is decision-relevant: the arm is still maturing, or
-        the observation disagrees with the prediction beyond the
-        hysteresis tolerance.
-        """
+        """Fold one completed execution into its arm."""
         with self._lock:
             arm = self._arm(algorithm, transport, signature)
             arm.observe(
                 seconds=max(0.0, seconds),
-                predicted=max(0.0, predicted_cost),
                 messages=float(messages),
                 rounds=float(rounds),
                 smoothing=self.smoothing,
@@ -191,19 +163,6 @@ class PlanFeedback:
                         + self.smoothing * rate
                     )
                 self._rate_samples += 1
-            self._records += 1
-            maturing = arm.samples <= self.min_samples
-            diverged = False
-            if arm.samples >= self.min_samples and self._rate > 0:
-                observed = arm.ewma_seconds / self._rate
-                baseline = max(arm.ewma_predicted, 1e-12)
-                diverged = abs(observed - baseline) / baseline > self.tolerance
-            scheduled = (
-                self.reelect_every > 0
-                and self._records % self.reelect_every == 0
-            )
-            if maturing or diverged or scheduled:
-                self.generation += 1
 
     def samples(self, algorithm: str, transport: str, signature: tuple) -> int:
         """Observation count of one arm (0 when never recorded)."""
@@ -332,9 +291,8 @@ class PlanFeedback:
             return len(self._arms)
 
     def invalidate(self) -> None:
-        """Force every memoized plan to recompute (drift epoch)."""
+        """Forget every signature's incumbent (drift epoch)."""
         with self._lock:
-            self.generation += 1
             self._incumbents.clear()
 
 

@@ -21,8 +21,7 @@ touched:
   the next power of two ("k-overfetch"): a top-8 answer serves every
   ``k <= 8`` query of the same shape by truncation, so mixed-k workloads
   share cache entries instead of fragmenting them.  Overfetch is cheap
-  — the stop depth grows sublinearly in ``k`` — and bounded by
-  ``ServicePolicy.max_overfetch``.
+  — the stop depth grows sublinearly in ``k`` — and stays below ``2k``.
 
 Predicted stop positions use the observed data: TA stops at the first
 position ``p`` where the k-th best overall score reaches the threshold
@@ -43,9 +42,10 @@ kernel's answer needs; every other scoring fills each row it reaches,
 so it pays for roughly the rows above its stop depth, once.  Specs
 that force an algorithm skip the estimate
 unless adaptive feedback or a network-transport decision reads it.
-Statistics and memoized plans are kept for at most
-:func:`repro.columnar.scoring_capacity` entries each (oldest out), as
-the memos are.
+The planner keeps no plans: the service plans only on a cache miss,
+and each cache entry keeps the plan that computed it.  Statistics are
+kept for at most :func:`repro.columnar.scoring_capacity` scorings
+(oldest out), as the memos are.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.analysis.model import expected_best_position_advance
 from repro.columnar import ColumnarDatabase, scoring_capacity, step_end
 from repro.columnar.walk import kth_largest
 from repro.errors import InvalidQueryError
-from repro.exec.keys import QuerySpec, freeze_value, scoring_key
+from repro.exec.keys import QuerySpec, scoring_key
 from repro.scoring import SUM, ScoringFunction
 from repro.service.sharding import available_cpus
 from repro.types import AccessTally, CostModel
@@ -95,9 +95,6 @@ class ServicePolicy:
         overfetch: whether to round ``k`` up to a power-of-two bucket
             when caching is enabled, so queries differing only in ``k``
             share cache entries.
-        max_overfetch: upper bound on ``k_fetch / k`` (the power-of-two
-            bucketing never exceeds 2; the knob exists so a custom
-            bucketing cannot run away).
         wire_protocol: wire protocol for networked queries — ``"auto"``
             picks the one minimizing the cost model's network cost
             (ties to batch), or force ``"entry"`` / ``"batch"`` /
@@ -160,8 +157,7 @@ class ServicePolicy:
             participates in calibrated selection.
         feedback_tolerance: hysteresis band — a challenger must beat
             the incumbent's calibrated cost by this fraction to take
-            over, and an observation must diverge from its prediction
-            by more than it to invalidate memoized plans.
+            over.
         drift_window: queries per drift-detection window.
         drift_threshold: total-variation distance between consecutive
             windows that declares a drift epoch.
@@ -169,7 +165,6 @@ class ServicePolicy:
 
     allow_random: bool = True
     overfetch: bool = True
-    max_overfetch: int = 4
     transport: str = "auto"  #: ``"auto"`` | ``"local"`` | ``"network"``
     wire_protocol: str = "auto"
     block_width: int = 1
@@ -482,17 +477,10 @@ class QueryPlanner:
         self._model = cost_model or CostModel.paper(max(2, database.n))
         self._feedback = feedback
         self._overfetch_override: bool | None = None
-        #: Per-scoring state kept for at most this many entries each
-        #: (oldest out: a hit must not pay for re-hashing its key).
+        #: Statistics kept for at most this many scorings (oldest out:
+        #: a hit must not pay for re-hashing its key).
         self._capacity = scoring_capacity(database.n)
         self._statistics: dict[tuple, ListStatistics] = {}
-        #: Plans are deterministic per planner, so memoize by normalized
-        #: spec — a cache-off service, or a repeated miss, must not
-        #: re-pay the stop-position estimation (cache reuses never plan:
-        #: their entry keeps the plan that computed it).  With feedback
-        #: attached, each memo entry carries the feedback generation it
-        #: was computed under and is recomputed once evidence moves.
-        self._plans: dict[tuple, tuple[PlanDecision, int]] = {}
 
     @property
     def policy(self) -> ServicePolicy:
@@ -515,27 +503,23 @@ class QueryPlanner:
         return self._overfetch_override
 
     def set_overfetch_override(self, value: bool | None) -> None:
-        """Override the policy's overfetch knob online (drift re-tune).
-
-        Clears the plan memo — the bucketed ``k`` feeding every memoized
-        decision just changed.
-        """
-        if value != self._overfetch_override:
-            self._overfetch_override = value
-            self._plans.clear()
+        """Override the policy's overfetch knob online (drift re-tune)."""
+        self._overfetch_override = value
 
     def statistics(self, scoring: ScoringFunction) -> ListStatistics:
         """The (cached) observed statistics for a scoring function."""
         key = scoring_key(scoring)
         stats = self._statistics.get(key)
         if stats is None:
-            stats = ListStatistics(self._database, scoring)
-            _remember(self._statistics, key, stats, self._capacity)
+            table = self._statistics
+            stats = table[key] = ListStatistics(self._database, scoring)
+            while len(table) > self._capacity:
+                del table[next(iter(table))]
         return stats
 
     def bucketed_k(self, k: int, *, cache_enabled: bool) -> int:
-        """The k to execute: the next power of two, bounded by ``n`` and
-        the policy's overfetch cap; ``k`` itself when not caching."""
+        """The k to execute: the next power of two (below ``2k``),
+        bounded by ``n``; ``k`` itself when not caching."""
         overfetch = (
             self._policy.overfetch
             if self._overfetch_override is None
@@ -544,7 +528,6 @@ class QueryPlanner:
         if not cache_enabled or not overfetch:
             return k
         bucket = 1 << (k - 1).bit_length() if k > 0 else 1
-        bucket = min(bucket, k * self._policy.max_overfetch)
         return min(bucket, self._database.n)
 
     def fetch_k(self, spec: QuerySpec, *, cache_enabled: bool) -> int:
@@ -765,19 +748,6 @@ class QueryPlanner:
         if spec.k < 1:
             raise InvalidQueryError(f"k must be >= 1, got {spec.k}")
         k_requested = min(spec.k, n)
-        memo_key = (
-            spec.algorithm,
-            k_requested,
-            scoring_key(spec.scoring),
-            freeze_value(dict(spec.options)),
-            cache_enabled,
-        )
-        generation = (
-            self._feedback.generation if self._feedback is not None else 0
-        )
-        memoized = self._plans.get(memo_key)
-        if memoized is not None and memoized[1] == generation:
-            return memoized[0]
         k_fetch = self.fetch_k(spec, cache_enabled=cache_enabled)
         # The stop-depth estimate is the one per-scoring O(depth) cost of
         # planning; a forced local plan never reads it.
@@ -859,7 +829,7 @@ class QueryPlanner:
 
         instance = get_algorithm(algorithm, **dict(spec.options))
         backend = "kernel" if instance.fast_kernel() is not None else "reference"
-        decision = PlanDecision(
+        return PlanDecision(
             algorithm=algorithm,
             backend=backend,
             k_requested=k_requested,
@@ -868,8 +838,6 @@ class QueryPlanner:
             reason=reason,
             transport=transport,
         )
-        _remember(self._plans, memo_key, (decision, generation), self._capacity)
-        return decision
 
     def _wire_may_win(self) -> bool:
         """Whether :meth:`choose_transport` can answer anything but local.
@@ -883,10 +851,3 @@ class QueryPlanner:
             return True
         model = self._model
         return model.message_cost < 0 or model.byte_cost < 0
-
-
-def _remember(table: dict, key, value, capacity: int) -> None:
-    """Insert, evicting the oldest entries beyond ``capacity``."""
-    table[key] = value
-    while len(table) > capacity:
-        del table[next(iter(table))]

@@ -38,11 +38,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.columnar import ColumnarDatabase, patch_database
+from repro.columnar import ColumnarDatabase, ColumnarList, patch_database
 from repro.dynamic import DynamicDatabase, MutationLog
 from repro.exec.keys import QuerySpec
-from repro.lists.database import Database
-from repro.lists.sorted_list import SortedList
 from repro.service.cache import ResultCache, normalized_query_key
 from repro.service.planner import (
     PlanDecision,
@@ -257,13 +255,16 @@ class ServiceCounters:
 
 def _snapshot_dynamic(source: DynamicDatabase) -> ColumnarDatabase:
     """A columnar snapshot of a dynamic database's current state."""
-    database = Database(
+    return ColumnarDatabase(
         [
-            SortedList(zip(lst.items(), lst.scores()), name=lst.name)
+            ColumnarList.from_arrays(
+                np.array(lst.items(), dtype=np.int64),
+                np.array(lst.scores(), dtype=np.float64),
+                name=lst.name,
+            )
             for lst in source.lists
         ]
     )
-    return ColumnarDatabase.from_database(database)
 
 
 class QueryService:

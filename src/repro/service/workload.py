@@ -270,7 +270,6 @@ def _adaptive_summary(service: QueryService) -> dict | None:
         "drift_epochs": service.counters.drift_epochs,
         "replans": service.counters.replans,
         "arms": state.feedback.arm_count,
-        "plan_generation": state.feedback.generation,
         "width_histogram": {
             str(width): count
             for width, count in state.width_histogram().items()

@@ -178,6 +178,8 @@ class DiskSortedList:
                 _RANK_RECORD.size,
             )
         )
+        if score != score:
+            raise self._nan_score(position)
         return ListEntry(position=position, item=item, score=score)
 
     def score_at(self, position: Position) -> Score:
@@ -189,11 +191,23 @@ class DiskSortedList:
         return self.entry_at(position).item
 
     def _read_index_record(self, slot: int) -> tuple[int, int, float]:
-        return _INDEX_RECORD.unpack(
+        record = _INDEX_RECORD.unpack(
             self._pread(
                 self._index_offset + slot * _INDEX_RECORD.size,
                 _INDEX_RECORD.size,
             )
+        )
+        if record[2] != record[2]:
+            raise self._nan_score(record[1])
+        return record
+
+    def _nan_score(self, position: int) -> CorruptFileError:
+        """A NaN local score has no rank: the file is corrupt.  Checked
+        on every read, since the format has no checksum and a list is
+        read lazily."""
+        return CorruptFileError(
+            f"{self._handle.name}: list {self._name}: NaN score at "
+            f"position {position}"
         )
 
     def lookup(self, item: ItemId) -> tuple[Score, Position]:
@@ -225,6 +239,8 @@ class DiskSortedList:
         """Sequentially stream the whole rank section."""
         payload = self._pread(self._rank_offset, self._n * _RANK_RECORD.size)
         for index, (item, score) in enumerate(_RANK_RECORD.iter_unpack(payload)):
+            if score != score:
+                raise self._nan_score(index + 1)
             yield ListEntry(position=index + 1, item=item, score=score)
 
     def items(self) -> tuple[ItemId, ...]:

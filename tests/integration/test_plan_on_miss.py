@@ -187,7 +187,6 @@ _POLICIES = {
     "default": (ServicePolicy(), None),
     "no-random": (ServicePolicy(allow_random=False), None),
     "no-overfetch": (ServicePolicy(overfetch=False), None),
-    "max-overfetch-1": (ServicePolicy(max_overfetch=1), None),
     "drift-override-off": (ServicePolicy(), False),
     "drift-override-on": (ServicePolicy(overfetch=False), True),
 }

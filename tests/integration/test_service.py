@@ -396,17 +396,16 @@ class TestPerScoringStateIsBounded:
         with QueryService(database, shards=1, pool="serial") as service:
             planner = service.planner
             snapshot = planner._database
-            peaks = {"statistics": 0, "plans": 0, "memos": 0}
+            peaks = {"statistics": 0, "memos": 0}
             for index in range(10_000):
                 scoring = WeightedSumScoring((1.0 - rng.random(3)).tolist())
                 algorithm = "auto" if index % 4 else "bpa2"
                 service.submit(QuerySpec(algorithm, k=1 + index % 7, scoring=scoring))
                 sizes = {
                     "statistics": len(planner._statistics),
-                    "plans": len(planner._plans),
                     "memos": len(snapshot._memos),
                 }
                 for name, size in sizes.items():
                     peaks[name] = max(peaks[name], size)
             assert service.planner is planner  # one snapshot throughout
-        assert peaks == {"statistics": cap, "plans": cap, "memos": cap}
+        assert peaks == {"statistics": cap, "memos": cap}

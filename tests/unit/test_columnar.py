@@ -245,6 +245,13 @@ class TestColumnarDatabase:
         assert columnar.label(0) == "zero"
         assert columnar.label(1) == "item 1"
         assert columnar.to_database().label(0) == "zero"
+        # Converting a labelled Database keeps its explicit labels only.
+        converted = ColumnarDatabase.from_database(
+            Database.from_score_rows(rows, labels={0: "zero"})
+        )
+        assert converted.label(0) == "zero"
+        assert converted.label(1) == "item 1"
+        assert converted._labels == {0: "zero"}
 
     def test_from_ranked_lists(self):
         columnar = ColumnarDatabase.from_ranked_lists(

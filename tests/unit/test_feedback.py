@@ -51,11 +51,9 @@ class TestPlanFeedback:
             PlanFeedback(tolerance=-0.1)
         with pytest.raises(ValueError, match="blend"):
             PlanFeedback(blend=1.5)
-        with pytest.raises(ValueError, match="reelect_every"):
-            PlanFeedback(reelect_every=-1)
 
     def test_records_accumulate_per_arm(self):
-        feedback = PlanFeedback(min_samples=2, reelect_every=0)
+        feedback = PlanFeedback(min_samples=2)
         _record(feedback, "ta", seconds=0.01)
         _record(feedback, "ta", seconds=0.01)
         _record(feedback, "bpa", seconds=0.02)
@@ -64,51 +62,8 @@ class TestPlanFeedback:
         assert feedback.samples("bpa2", "local", ("sum", 8)) == 0
         assert feedback.arm_count == 2
 
-    def test_generation_bumps_while_arm_matures_then_settles(self):
-        feedback = PlanFeedback(
-            min_samples=2, tolerance=0.5, reelect_every=0
-        )
-        before = feedback.generation
-        _record(feedback, "ta", seconds=0.01)  # maturing
-        _record(feedback, "ta", seconds=0.01)  # maturing (== min_samples)
-        assert feedback.generation == before + 2
-        settled = feedback.generation
-        # Mature, consistent with its prediction: no invalidation.
-        for _ in range(5):
-            _record(feedback, "ta", seconds=0.01)
-        assert feedback.generation == settled
-
-    def test_divergent_observation_bumps_generation(self):
-        feedback = PlanFeedback(
-            min_samples=1, tolerance=0.25, reelect_every=0
-        )
-        _record(feedback, "ta", seconds=0.01, predicted=100.0)
-        _record(feedback, "ta", seconds=0.01, predicted=100.0)
-        settled = feedback.generation
-        _record(feedback, "ta", seconds=0.01, predicted=100.0)
-        assert feedback.generation == settled  # mature and consistent
-        # One wildly slow bpa observation inflates the global
-        # seconds-per-cost rate, so ta's next (unchanged) observation
-        # now disagrees with its prediction beyond the tolerance.
-        _record(feedback, "bpa", seconds=1.0, predicted=100.0)
-        bumped = feedback.generation
-        _record(feedback, "ta", seconds=0.01, predicted=100.0)
-        assert feedback.generation > bumped
-
-    def test_scheduled_reelection_bumps_generation(self):
-        feedback = PlanFeedback(
-            min_samples=1, tolerance=10.0, reelect_every=4
-        )
-        _record(feedback, "ta", seconds=0.01)  # maturing bump
-        settled = feedback.generation
-        _record(feedback, "ta", seconds=0.01)
-        _record(feedback, "ta", seconds=0.01)
-        assert feedback.generation == settled
-        _record(feedback, "ta", seconds=0.01)  # 4th record: scheduled
-        assert feedback.generation == settled + 1
-
     def test_explore_candidate_prefers_least_sampled(self):
-        feedback = PlanFeedback(min_samples=2, reelect_every=0)
+        feedback = PlanFeedback(min_samples=2)
         sig = ("sum", 8)
         assert (
             feedback.explore_candidate(("ta", "bpa"), signature=sig) == "bpa"
@@ -148,7 +103,7 @@ class TestPlanFeedback:
         assert "re-planned" in reason
 
     def test_calibrated_costs_blend_only_mature_arms(self):
-        feedback = PlanFeedback(min_samples=1, blend=0.5, reelect_every=0)
+        feedback = PlanFeedback(min_samples=1, blend=0.5)
         sig = ("sum", 8)
         _record(feedback, "ta", seconds=0.01, predicted=100.0, sig=sig)
         model = CostModel.paper(1000)
@@ -160,13 +115,11 @@ class TestPlanFeedback:
         # ta's observation equals its prediction (it seeded the rate).
         assert calibrated["ta"] == pytest.approx(100.0)
 
-    def test_invalidate_clears_incumbents_and_bumps_generation(self):
+    def test_invalidate_clears_incumbents(self):
         feedback = PlanFeedback(min_samples=1)
         sig = ("sum", 8)
         feedback.select(("ta", "bpa"), {"ta": 1.0, "bpa": 2.0}, signature=sig)
-        generation = feedback.generation
         feedback.invalidate()
-        assert feedback.generation == generation + 1
         _, replanned, reason = feedback.select(
             ("ta", "bpa"), {"ta": 1.0, "bpa": 2.0}, signature=sig
         )

@@ -107,15 +107,6 @@ class TestPlanning:
         assert planner.statistics(SUM) is planner.statistics(SUM)
         assert planner.statistics(SUM) is not planner.statistics(MIN)
 
-    def test_plans_are_memoized_per_normalized_spec(self, planner):
-        first = planner.plan(QuerySpec("auto", k=4), cache_enabled=True)
-        # The service's cache-hit hot path must not re-pay estimation.
-        assert planner.plan(QuerySpec("auto", k=4), cache_enabled=True) is first
-        assert (
-            planner.plan(QuerySpec("auto", k=4), cache_enabled=False)
-            is not first
-        )
-
 
 class TestOverfetch:
     def test_bucketing_rounds_up_to_powers_of_two(self, planner):
@@ -321,9 +312,7 @@ class TestFeedbackDrivenPlanning:
         return planner, feedback
 
     def test_exploration_covers_every_candidate(self, columnar):
-        planner, feedback = self._feedback_planner(
-            columnar, min_samples=1, reelect_every=0
-        )
+        planner, feedback = self._feedback_planner(columnar, min_samples=1)
         from repro.service.feedback import plan_signature
 
         seen = set()
@@ -338,14 +327,6 @@ class TestFeedbackDrivenPlanning:
                 seconds=0.001,
             )
         assert seen == set(AUTO_CANDIDATES)
-
-    def test_memo_survives_until_generation_moves(self, columnar):
-        planner, feedback = self._feedback_planner(columnar, min_samples=1)
-        spec = QuerySpec("ta", k=10)
-        first = planner.plan(spec, cache_enabled=True)
-        assert planner.plan(spec, cache_enabled=True) is first
-        feedback.invalidate()
-        assert planner.plan(spec, cache_enabled=True) is not first
 
     def test_overfetch_override_rebuckets_k(self, columnar):
         planner = QueryPlanner(columnar)
@@ -484,18 +465,13 @@ class TestForcedSpecsSkipTheEstimate:
         from repro.service.workload import dynamic_from
 
         layouts = []
-        build, patched = DatabaseLayout.__init__, DatabaseLayout.patched.__func__
+        build = DatabaseLayout.__init__
 
         def counted_build(self, database):
             layouts.append("build")
             build(self, database)
 
-        def counted_patch(cls, previous, database, touched):
-            layouts.append("patched")
-            return patched(cls, previous, database, touched)
-
         monkeypatch.setattr(DatabaseLayout, "__init__", counted_build)
-        monkeypatch.setattr(DatabaseLayout, "patched", classmethod(counted_patch))
         source = dynamic_from(UniformGenerator().generate(400, 3, seed=6))
         ids = sorted(source.item_ids)
         fallbacks = 0

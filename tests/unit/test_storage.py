@@ -1,5 +1,6 @@
 """Tests for the on-disk list storage layer."""
 
+import re
 import struct
 
 import pytest
@@ -117,6 +118,34 @@ class TestErrors:
         with open_database(db_path) as disk:
             with pytest.raises(UnknownItemError):
                 disk.lists[0].lookup(10_000)
+
+    def test_nan_score_raises_on_every_read_path(self, tmp_path):
+        """A NaN score has no rank: each read that meets one raises,
+        naming the file, the list and the position."""
+        path = tmp_path / "nan.bptk"
+        save_database(
+            Database.from_score_rows([[0.9, 0.5, 0.1], [0.3, 0.8, 0.6]]), path
+        )
+        nan = struct.pack("<d", float("nan"))
+        data = bytearray(path.read_bytes())
+        # List 0's rank section starts after the 16-byte header with
+        # 16-byte (item, score) records: position 2's score is at 40.
+        data[40:48] = nan
+        # Its index section follows, 24-byte (item, rank, score)
+        # records by item: item 2's score is at 16 + 48 + 2 * 24 + 16.
+        data[128:136] = nan
+        path.write_bytes(bytes(data))
+        with open_database(path) as disk:
+            first = disk.lists[0]
+            assert first.entry_at(1).score == 0.9
+            with pytest.raises(CorruptFileError, match="L1: NaN score at position 2"):
+                first.entry_at(2)
+            with pytest.raises(CorruptFileError, match="position 3"):
+                first.lookup(2)
+            with pytest.raises(CorruptFileError, match=re.escape(str(path))):
+                first.scores()
+            with pytest.raises(CorruptFileError, match="position 2"):
+                get_algorithm("ta").run(disk, 2, SUM)
 
 
 class TestLifecycle:
