@@ -131,12 +131,12 @@ True
 >>> service.close()
 
 ``ServicePolicy(adaptive=True)`` closes the control loop: observed
-latencies calibrate the planner's cost predictions, the networked
-block width is tuned online, and a drift detector re-tunes the service
-when the workload's shape moves.  The controllers are plain objects,
-so the loop is easy to watch deterministically (no wall clock below —
-every signal is synthetic).  A workload shift re-prices an arm and the
-hysteresis-guarded selection re-plans exactly once:
+latencies calibrate the planner's cost predictions, and a drift
+detector re-tunes the service when the workload's shape moves.  The
+controllers are plain objects, so the loop is easy to watch
+deterministically (no wall clock below — every signal is synthetic).
+A workload shift re-prices an arm and the hysteresis-guarded selection
+re-plans exactly once:
 
 >>> from repro.service import PlanFeedback
 >>> feedback = PlanFeedback(min_samples=1, tolerance=0.25)
@@ -166,18 +166,6 @@ False
 [False, False, False, True]
 >>> (detector.epochs, detector.last_divergence)
 (1, 1.0)
-
-And the block-width controller widens only on evidence — consecutive
-queries whose stop depth outruns the current width — stepping up the
-``{1, 2, 4, 8, 16}`` lattice one notch per patience run:
-
->>> from repro.service import BlockWidthController
->>> controller = BlockWidthController(initial=1, patience=2)
->>> for _ in range(4):   # four deep queries: stop position 8, k=8
-...     controller.record(seconds=0.001, rounds=4, fetched_positions=8,
-...                       stop_position=8, k=8)
->>> controller.width
-4
 
 The distributed stack is the same round-plan engine over a transport.
 Here each of the three list owners runs in its **own OS process**,

@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "fresh pools) to exercise drift re-tuning")
     serve.add_argument("--adaptive", action="store_true",
                        help="serve with ServicePolicy(adaptive=True): "
-                            "feedback-calibrated planning, online block-"
-                            "width tuning, drift-aware re-tuning")
+                            "feedback-calibrated planning and drift-aware "
+                            "re-tuning")
     serve.add_argument("--shards", default="4",
                        help="shard count, or 'auto' to let the planner's "
                             "cost model pick it (default: 4)")
@@ -712,17 +712,8 @@ def _cmd_serve_workload(args: argparse.Namespace) -> int:
             return 1
     adaptive = summary.get("adaptive")
     if adaptive is not None:
-        widths = ", ".join(
-            f"w{width}:{count}"
-            for width, count in sorted(
-                adaptive["width_histogram"].items(),
-                key=lambda pair: int(pair[0]),
-            )
-        ) or "untuned"
         print(f"adaptive: {adaptive['drift_epochs']} drift epochs, "
               f"{adaptive['replans']} re-plans over {adaptive['arms']} arms")
-        print(f"  block widths served: {widths} "
-              f"({adaptive['width_adjustments']} adjustments)")
     if args.verify:
         verdict = summary.get("verified_identical")
         print(f"oracle verification: "

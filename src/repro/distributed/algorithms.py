@@ -20,21 +20,21 @@ the plans are served —
   real frames, and ``protocol="pipelined"`` genuinely overlaps the
   round trips.
 
-Both run the planners over owners; single-node queries run the
-vectorized kernels (:func:`repro.exec.run.execute_query`) instead.  The
+Both run the planners over owners; single-node queries, every
+:class:`repro.service.QueryService` query included, run the vectorized
+kernels (:func:`repro.exec.run.execute_query`) instead.  The
 differential suites prove every transport and protocol bit-identical
 to the reference single-node algorithms.
 
-``block_width > 1`` switches every transport to the block planners
-(``ta-block`` / ``bpa-block`` / ``bpa2-block``): one sorted or direct
-block of that width per list per round, deduplicated probes — the
-middleware cost profile of :mod:`repro.algorithms.block`, whose
-reference implementations the differential suite matches bit for bit.
+An int ``block_width > 1`` switches every transport to the block
+planners (``ta-block`` / ``bpa-block`` / ``bpa2-block``): one sorted or
+direct block of that fixed width per list per round, deduplicated
+probes — the middleware cost profile of :mod:`repro.algorithms.block`,
+whose reference implementations the differential suite matches bit for
+bit.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.distributed.placement import (
     STRATEGIES as PLACEMENT_STRATEGIES,
@@ -70,7 +70,7 @@ class _DistributedDriver:
         tracker: str = "bitarray",
         protocol: str = "entry",
         transport: str = "simulated",
-        block_width: "int | Callable[[], int]" = 1,
+        block_width: int = 1,
         owners: int | None = None,
         placement: str = "contiguous",
     ) -> None:
@@ -82,9 +82,7 @@ class _DistributedDriver:
             raise ValueError(
                 f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}"
             )
-        # A callable width is a per-round provider (the adaptive
-        # controller); it is validated at each resolution instead.
-        if not callable(block_width) and block_width < 1:
+        if block_width < 1:
             raise ValueError(f"block_width must be >= 1, got {block_width}")
         if placement not in PLACEMENT_STRATEGIES:
             raise ValueError(
@@ -150,7 +148,7 @@ class _DistributedDriver:
             }
             if self._owners is not None:
                 extras["owners"] = backend.placement.owners
-        if not callable(self._block_width) and self._block_width > 1:
+        if self._block_width > 1:
             extras["block_width"] = self._block_width
         return TopKResult(
             items=outcome.items,
@@ -166,8 +164,8 @@ class _DistributedDriver:
 
     @property
     def _blocked(self) -> bool:
-        """Whether to run the block planners (any provider, or width > 1)."""
-        return callable(self._block_width) or self._block_width > 1
+        """Whether to run the block planners (width > 1)."""
+        return self._block_width > 1
 
 
 class DistributedTA(_DistributedDriver):

@@ -32,16 +32,17 @@ The **classic** planners mirror the reference implementations exactly:
   the end of the round.
 
 The **block** planners (paper-exact top-k, middleware-friendly cost
-profile) process ``width`` positions per round: one sorted (or direct)
-block per list, then *deduplicated* probes — each new item is completed
-exactly once, in every list that did not surface it this round.  Their
-reference twins live in :mod:`repro.algorithms.block`.
+profile) process a fixed int ``width`` of positions per round: one
+sorted (or direct) block per list, then *deduplicated* probes — each
+new item is completed exactly once, in every list that did not surface
+it this round.  Their reference twins live in
+:mod:`repro.algorithms.block`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING
 
 from repro.algorithms.base import TopKBuffer
 from repro.exec.plan import (
@@ -166,7 +167,6 @@ def _plan_bpa2(
     """
     m = backend.m
     buffer = TopKBuffer(k)
-    seen: set[ItemId] = set()
     exhausted = [False] * m
     rounds = 0
 
@@ -195,10 +195,9 @@ def _plan_bpa2(
                 exhausted[i] = True
                 continue
             progressed = True
+            # A direct access reads an unmarked position, so the item is
+            # new (Theorem 5).
             item, score = result.entries[0]
-            if item in seen:
-                continue  # pragma: no cover - cannot happen (Theorem 5)
-            seen.add(item)
             local = [0.0] * m
             local[i] = score
             locals_of[item] = local
@@ -210,10 +209,6 @@ def _plan_bpa2(
                     pre[j].append(item)
                 else:
                     post[j].append(item)
-        if not opened:  # pragma: no cover - no round starts all-exhausted
-            # Every list exhausted: the round still opens (and counts)
-            # before the final stop test, as the reference loop does.
-            yield RoundPlan(ops=())
         if any(post):
             results = _probe_results(post, (yield _probe_plan(post)))
             for j in range(m):
@@ -234,28 +229,9 @@ def _plan_bpa2(
 # ----------------------------------------------------------------------
 
 
-#: A block width: a constant, or a zero-argument provider re-read at
-#: the top of every round (the adaptive controller's hook — a constant
-#: provider is proven bit-identical to the plain constant).
-WidthSpec = Union[int, Callable[[], int]]
-
-
-def _require_width(width: WidthSpec) -> None:
-    if not callable(width) and width < 1:
+def _require_width(width: int) -> None:
+    if width < 1:
         raise ValueError(f"block width must be >= 1, got {width}")
-
-
-def _resolve_width(width: WidthSpec) -> int:
-    """The width to use for the round starting now.
-
-    Providers are consulted exactly once per round, so a mid-round
-    adjustment never tears a round's access pattern; each resolution is
-    validated because a provider can misbehave at any time.
-    """
-    value = width() if callable(width) else width
-    if value < 1:
-        raise ValueError(f"block width must be >= 1, got {value}")
-    return int(value)
 
 
 def _plan_block(
@@ -263,7 +239,7 @@ def _plan_block(
     n: int,
     k: int,
     scoring: ScoringFunction,
-    width: WidthSpec,
+    width: int,
     tracker: str | None,
 ) -> Planner:
     """Block TA: sorted blocks, then one completion per distinct item;
@@ -276,7 +252,7 @@ def _plan_block(
     rounds = 0
     while True:
         rounds += 1
-        count = min(_resolve_width(width), n - position)
+        count = min(width, n - position)
         sorted_results: list[SortedResult] = yield RoundPlan(
             ops=tuple(SortedFetch(i, count) for i in range(m))
         )
@@ -301,7 +277,7 @@ def _plan_block(
 
 
 def _plan_bpa2_block(
-    backend: NetworkBackend, k: int, scoring: ScoringFunction, width: WidthSpec
+    backend: NetworkBackend, k: int, scoring: ScoringFunction, width: int
 ) -> Planner:
     """Block BPA2: parallel direct blocks, then deduplicated probes.
 
@@ -317,10 +293,9 @@ def _plan_bpa2_block(
 
     while True:
         rounds += 1
-        count = _resolve_width(width)
         active = [i for i in range(m) if not exhausted[i]]
         results: list[DirectResult] = yield RoundPlan(
-            ops=tuple(DirectBlock(i, (), count) for i in active)
+            ops=tuple(DirectBlock(i, (), width) for i in active)
         )
         progressed = False
         block = BlockRound(m, seen)
@@ -379,7 +354,7 @@ def run_ta_block(
     k: int,
     scoring: ScoringFunction,
     *,
-    width: WidthSpec = 8,
+    width: int = 8,
 ) -> DriverOutcome:
     """Block TA over list owners (``width`` positions per round)."""
     _require_width(width)
@@ -391,7 +366,7 @@ def run_bpa_block(
     k: int,
     scoring: ScoringFunction,
     *,
-    width: WidthSpec = 8,
+    width: int = 8,
     tracker: str = "bitarray",
 ) -> DriverOutcome:
     """Block BPA over list owners; needs positions in responses."""
@@ -408,7 +383,7 @@ def run_bpa2_block(
     k: int,
     scoring: ScoringFunction,
     *,
-    width: WidthSpec = 8,
+    width: int = 8,
 ) -> DriverOutcome:
     """Block BPA2 over list owners (``width`` direct accesses per round)."""
     _require_width(width)

@@ -20,10 +20,10 @@ full story):
   wired to :class:`repro.dynamic.DynamicDatabase` mutation streams for
   epoch bumps.
 
-Execution itself (drivers, kernel dispatch, the exact merge) lives in
-the shared core, :mod:`repro.exec`; the planner can also route a query
-over the simulated network transport (:mod:`repro.distributed`) when
-its cost model's network extension says so.
+Execution itself (kernel dispatch, the exact merge) lives in the
+shared core, :mod:`repro.exec`; the service runs every query on its
+shard pool.  Queries over list owners, simulated or over sockets, are
+:mod:`repro.distributed`'s.
 
 :mod:`repro.service.workload` replays Zipf-popular workloads against a
 service, every answer cross-checked (the ``repro-topk serve-workload``
@@ -31,8 +31,7 @@ CLI); the timed service benchmark is ``perfbench/``.
 
 :mod:`repro.service.feedback` closes the control loop: a
 :class:`PlanFeedback` store calibrates the planner's cost predictions
-against observed latencies, an AIMD :class:`BlockWidthController` tunes
-the networked block width online, and a :class:`DriftDetector` fires
+against observed latencies, and a :class:`DriftDetector` fires
 re-tuning epochs when the workload's shape moves
 (``ServicePolicy(adaptive=True)``).
 """
@@ -46,12 +45,9 @@ from repro.service.cache import (
     scoring_key,
 )
 from repro.service.feedback import (
-    WIDTH_LATTICE,
     AdaptiveState,
-    BlockWidthController,
     DriftDetector,
     PlanFeedback,
-    WidthProbe,
     plan_signature,
     total_variation,
 )
@@ -111,11 +107,8 @@ __all__ = [
     "merge_shard_results",
     "partition_database",
     "PlanFeedback",
-    "BlockWidthController",
     "DriftDetector",
     "AdaptiveState",
-    "WidthProbe",
-    "WIDTH_LATTICE",
     "plan_signature",
     "total_variation",
     "WorkloadConfig",

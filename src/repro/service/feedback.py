@@ -1,11 +1,11 @@
 """Runtime feedback for the planner: the service's control loop.
 
 The planner (:mod:`repro.service.planner`) predicts costs from *static*
-list statistics.  This module closes the loop with three controllers
-fed from completed queries:
+list statistics.  This module closes the loop with two controllers fed
+from completed queries:
 
-* :class:`PlanFeedback` — per (algorithm, transport, workload-signature)
-  *arms* accumulate EWMA-smoothed observed seconds.  A global
+* :class:`PlanFeedback` — per (algorithm, workload-signature) *arms*
+  accumulate EWMA-smoothed observed seconds.  A global
   seconds-per-cost-unit rate (observed seconds over the cost the model
   predicted for the same run) converts them back into cost units, and
   :meth:`repro.types.CostModel.calibrate` blends them with the static
@@ -15,38 +15,27 @@ fed from completed queries:
   the least-sampled one is explored (safe — every candidate algorithm
   is exact, so answers never depend on the choice).  The planner reads
   it on every plan it makes, that is on every cache miss.
-* :class:`BlockWidthController` — AIMD over the width lattice
-  ``{1, 2, 4, 8, 16}``, one controller per transport, tuned from
-  observed round latencies exactly the way
-  :class:`repro.service.service.AdaptiveConcurrency` tunes the
-  ``gather_many`` window.  A deterministic *overshoot guard* (positions
-  fetched far past the stop position) steps the width down even when
-  wall-clock noise hides the waste.
 * :class:`DriftDetector` — total-variation divergence between
   consecutive windows of bucketed query-spec keys.  A divergence above
   the threshold declares a drift epoch: the service bumps
   ``drift_epochs``, drops every signature's incumbent arm, and re-tunes
   shard count and cache overfetch for the new regime.
 
-Everything here is transport- and algorithm-agnostic bookkeeping; the
-wiring lives in :class:`repro.service.service.QueryService`.
+Everything here is algorithm-agnostic bookkeeping; the wiring lives in
+:class:`repro.service.service.QueryService`, which runs every query on
+its shard pool and feeds each execution's time back here.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.exec.keys import scoring_key
 from repro.scoring import ScoringFunction
 from repro.types import CostModel
-
-#: The block widths the adaptive controller moves across.  Matches the
-#: widths the round-plan engine's ``*-block`` planners are benchmarked
-#: at; width 1 is the degenerate single-entry block.
-WIDTH_LATTICE: tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
 def plan_signature(scoring: ScoringFunction, k_fetch: int) -> tuple:
@@ -61,30 +50,18 @@ def plan_signature(scoring: ScoringFunction, k_fetch: int) -> tuple:
 
 @dataclass
 class ArmStats:
-    """EWMA state of one (algorithm, transport, signature) arm."""
+    """EWMA state of one (algorithm, signature) arm."""
 
     samples: int = 0
     ewma_seconds: float = 0.0
-    ewma_messages: float = 0.0
-    ewma_rounds: float = 0.0
 
-    def observe(
-        self,
-        *,
-        seconds: float,
-        messages: float,
-        rounds: float,
-        smoothing: float,
-    ) -> None:
+    def observe(self, *, seconds: float, smoothing: float) -> None:
         if self.samples == 0:
             self.ewma_seconds = seconds
-            self.ewma_messages = messages
-            self.ewma_rounds = rounds
         else:
-            keep = 1.0 - smoothing
-            self.ewma_seconds = keep * self.ewma_seconds + smoothing * seconds
-            self.ewma_messages = keep * self.ewma_messages + smoothing * messages
-            self.ewma_rounds = keep * self.ewma_rounds + smoothing * rounds
+            self.ewma_seconds = (
+                (1.0 - smoothing) * self.ewma_seconds + smoothing * seconds
+            )
         self.samples += 1
 
 
@@ -125,34 +102,25 @@ class PlanFeedback:
         self._rate_samples = 0
         self._lock = threading.Lock()
 
-    def _arm(self, algorithm: str, transport: str, signature: tuple) -> ArmStats:
-        key = (algorithm, transport, signature)
-        arm = self._arms.get(key)
-        if arm is None:
-            arm = ArmStats()
-            self._arms[key] = arm
-        return arm
-
     def record(
         self,
         *,
         algorithm: str,
-        transport: str,
         signature: tuple,
         predicted_cost: float,
         seconds: float,
-        rounds: int = 0,
-        messages: int = 0,
     ) -> None:
-        """Fold one completed execution into its arm."""
+        """Fold one completed execution into its arm.
+
+        The seconds-per-cost-unit rate learns only from runs the cost
+        model priced: a forced algorithm it does not price (``qc``, say)
+        records ``predicted_cost=0`` and feeds its arm alone.
+        """
         with self._lock:
-            arm = self._arm(algorithm, transport, signature)
-            arm.observe(
-                seconds=max(0.0, seconds),
-                messages=float(messages),
-                rounds=float(rounds),
-                smoothing=self.smoothing,
-            )
+            arm = self._arms.get((algorithm, signature))
+            if arm is None:
+                arm = self._arms[(algorithm, signature)] = ArmStats()
+            arm.observe(seconds=max(0.0, seconds), smoothing=self.smoothing)
             if predicted_cost > 0 and seconds > 0:
                 rate = seconds / predicted_cost
                 if self._rate_samples == 0:
@@ -164,41 +132,21 @@ class PlanFeedback:
                     )
                 self._rate_samples += 1
 
-    def samples(self, algorithm: str, transport: str, signature: tuple) -> int:
+    def samples(self, algorithm: str, signature: tuple) -> int:
         """Observation count of one arm (0 when never recorded)."""
-        arm = self._arms.get((algorithm, transport, signature))
+        arm = self._arms.get((algorithm, signature))
         return arm.samples if arm else 0
 
-    def total_samples(self, algorithm: str, signature: tuple) -> int:
-        """Observation count across transports for one algorithm arm."""
-        return sum(
-            arm.samples
-            for (name, _transport, sig), arm in self._arms.items()
-            if name == algorithm and sig == signature
-        )
-
     def observed_cost(self, algorithm: str, signature: tuple) -> float | None:
-        """EWMA observed cost of an algorithm in cost-model units.
+        """EWMA observed cost of an arm in cost-model units.
 
-        Aggregated across transports by taking the most-sampled mature
-        arm — in practice an algorithm runs on one transport per
-        signature, so this is simply "the arm we have evidence for".
-        Returns ``None`` while no arm is mature or the global rate is
-        still unseeded.
+        ``None`` while the arm is immature or the global rate is still
+        unseeded.
         """
-        if self._rate <= 0:
+        arm = self._arms.get((algorithm, signature))
+        if self._rate <= 0 or arm is None or arm.samples < self.min_samples:
             return None
-        best: ArmStats | None = None
-        for (name, _transport, sig), arm in self._arms.items():
-            if name != algorithm or sig != signature:
-                continue
-            if arm.samples < self.min_samples:
-                continue
-            if best is None or arm.samples > best.samples:
-                best = arm
-        if best is None:
-            return None
-        return best.ewma_seconds / self._rate
+        return arm.ewma_seconds / self._rate
 
     def calibrated_costs(
         self,
@@ -237,13 +185,12 @@ class PlanFeedback:
             immature = [
                 name
                 for name in candidates
-                if self.total_samples(name, signature) < self.min_samples
+                if self.samples(name, signature) < self.min_samples
             ]
             if not immature:
                 return None
             return min(
-                immature,
-                key=lambda name: (self.total_samples(name, signature), name),
+                immature, key=lambda name: (self.samples(name, signature), name)
             )
 
     def select(
@@ -286,7 +233,7 @@ class PlanFeedback:
 
     @property
     def arm_count(self) -> int:
-        """How many (algorithm, transport, signature) arms hold samples."""
+        """How many (algorithm, signature) arms hold samples."""
         with self._lock:
             return len(self._arms)
 
@@ -294,161 +241,6 @@ class PlanFeedback:
         """Forget every signature's incumbent (drift epoch)."""
         with self._lock:
             self._incumbents.clear()
-
-
-class BlockWidthController:
-    """AIMD block-width tuning from observed round latencies.
-
-    The same control shape as ``AdaptiveConcurrency``, with patience in
-    both directions: ``patience`` consecutive *bad* records (a round
-    slower than ``threshold`` times the EWMA baseline, or a provable
-    overshoot) step the width down the lattice, and ``patience``
-    consecutive healthy records step it up — the latter only when the
-    query actually ran deeper than the current width (``stop_position >
-    width``), i.e. a wider block would genuinely have saved a round.
-    Symmetric patience is what keeps a *mixed* stationary stream (one
-    narrow query between two deep ones) from oscillating.  The
-    *overshoot guard* is deterministic: fetching more than
-    ``overshoot_limit`` times the positions the algorithm needed means
-    the width is wasting accesses regardless of what the clock says.
-    """
-
-    def __init__(
-        self,
-        *,
-        initial: int = 1,
-        threshold: float = 2.0,
-        overshoot_limit: float = 3.0,
-        patience: int = 2,
-        smoothing: float = 0.2,
-    ) -> None:
-        if initial not in WIDTH_LATTICE:
-            raise ValueError(
-                f"initial width {initial} not on the lattice {WIDTH_LATTICE}"
-            )
-        if threshold <= 1.0:
-            raise ValueError(f"threshold must be > 1, got {threshold}")
-        if overshoot_limit <= 1.0:
-            raise ValueError(
-                f"overshoot_limit must be > 1, got {overshoot_limit}"
-            )
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
-        self._index = WIDTH_LATTICE.index(initial)
-        self._threshold = threshold
-        self._overshoot_limit = overshoot_limit
-        self._patience = patience
-        self._smoothing = smoothing
-        self._baseline = 0.0
-        self._seeded = False
-        self._streak = 0
-        self._bad_streak = 0
-        self.adjustments = 0
-        self.width_histogram: Counter[int] = Counter()
-
-    @property
-    def width(self) -> int:
-        """The width the next networked round should use."""
-        return WIDTH_LATTICE[self._index]
-
-    def provider(self) -> Callable[[], int]:
-        """A zero-argument width provider for the round-plan drivers."""
-        return lambda: self.width
-
-    def _step_down(self) -> None:
-        if self._index > 0:
-            self._index -= 1
-            self.adjustments += 1
-        self._streak = 0
-        self._bad_streak = 0
-
-    def _step_up(self) -> None:
-        if self._index + 1 < len(WIDTH_LATTICE):
-            self._index += 1
-            self.adjustments += 1
-        self._streak = 0
-        self._bad_streak = 0
-
-    def record(
-        self,
-        *,
-        seconds: float,
-        rounds: int,
-        fetched_positions: int,
-        stop_position: int,
-        k: int = 1,
-    ) -> None:
-        """Fold one completed networked execution into the controller.
-
-        The overshoot denominator is a *provable lower bound* on the
-        positions the query truly needed: at least ``k`` (a top-k needs
-        k positions per list), and more than ``stop_position - width``
-        (the rounds before the last were insufficient).  The raw stop
-        position itself is useless here — block execution quantizes it
-        up to the block boundary, so ``fetched / stop`` is ~1 at every
-        width and would never see a too-wide block.
-        """
-        self.width_histogram[self.width] += 1
-        per_round = seconds / max(1, rounds)
-        need = max(1, k, stop_position - self.width + 1)
-        overshoot = fetched_positions / need
-        slow = (
-            self._seeded
-            and self._baseline > 0
-            and per_round > self._threshold * self._baseline
-        )
-        if overshoot > self._overshoot_limit or slow:
-            # Patience applies in both directions: a single narrow query
-            # inside a mixed stream must not knock the width down — only
-            # a *run* of overshooting queries (a phase) should.
-            self._streak = 0
-            self._bad_streak += 1
-            if self._bad_streak >= self._patience:
-                self._step_down()
-        else:
-            self._bad_streak = 0
-            self._streak += 1
-            # A wider block only reduces rounds when the current width
-            # cannot cover the stop depth in a single round.
-            if self._streak >= self._patience and stop_position > self.width:
-                self._step_up()
-        if not self._seeded:
-            self._baseline = per_round
-            self._seeded = True
-        else:
-            self._baseline = (
-                (1.0 - self._smoothing) * self._baseline
-                + self._smoothing * per_round
-            )
-
-
-class WidthProbe:
-    """A width provider that remembers what it handed out.
-
-    Passed as ``block_width`` to the distributed drivers: each round
-    resolves the controller's *current* width through ``__call__``, and
-    after the run the service reads back the last width used (stamped
-    into ``extras["block_width"]`` /
-    ``ServiceStats.effective_block_width``) and the total positions
-    fetched (the overshoot guard's numerator).
-    """
-
-    __slots__ = ("_controller", "last", "total", "calls")
-
-    def __init__(self, controller: BlockWidthController) -> None:
-        self._controller = controller
-        self.last = controller.width
-        self.total = 0
-        self.calls = 0
-
-    def __call__(self) -> int:
-        width = self._controller.width
-        self.last = width
-        self.total += width
-        self.calls += 1
-        return width
 
 
 def total_variation(a: Mapping, b: Mapping) -> float:
@@ -530,27 +322,17 @@ class AdaptiveState:
 
     Survives planner rebuilds (snapshot refreshes recreate the planner;
     the feedback store persists so calibration is not lost) and is
-    shared by the sync and async submission paths, hence the lock
-    around the width controllers map.
+    shared by the sync and async submission paths.
     """
 
     feedback: PlanFeedback
     drift: DriftDetector
-    #: keyed by transport, or by ``(transport, signature)`` when the
-    #: service scopes widths per workload class
-    controllers: dict = field(default_factory=dict)
     overfetch_override: bool | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     @classmethod
     def from_policy(cls, policy) -> "AdaptiveState":
         """Build the controllers from a ``ServicePolicy``'s knobs."""
-        initial = (
-            policy.block_width
-            if policy.block_width in WIDTH_LATTICE
-            else 1
-        )
-        state = cls(
+        return cls(
             feedback=PlanFeedback(
                 min_samples=policy.feedback_min_samples,
                 tolerance=policy.feedback_tolerance,
@@ -561,36 +343,3 @@ class AdaptiveState:
                 threshold=policy.drift_threshold,
             ),
         )
-        state._initial_width = initial  # type: ignore[attr-defined]
-        return state
-
-    def controller_for(
-        self, transport: str, signature: tuple | None = None
-    ) -> BlockWidthController:
-        """The (lazily created) width controller of one transport.
-
-        With a ``signature`` the controller is further scoped to that
-        workload class (the planner's ``plan_signature``): queries of
-        different depths tune their own widths independently, so an
-        adversarial deep query inside a narrow phase widens *its own*
-        block without dragging the narrow queries' width up — and each
-        class's stream of records is homogeneous, which is what lets
-        the patience guards converge instead of churn.
-        """
-        key = (transport, signature) if signature is not None else transport
-        with self._lock:
-            controller = self.controllers.get(key)
-            if controller is None:
-                controller = BlockWidthController(
-                    initial=getattr(self, "_initial_width", 1)
-                )
-                self.controllers[key] = controller
-            return controller
-
-    def width_histogram(self) -> dict[int, int]:
-        """Merged width usage across transports (for reports)."""
-        merged: Counter[int] = Counter()
-        with self._lock:
-            for controller in self.controllers.values():
-                merged.update(controller.width_histogram)
-        return {width: merged[width] for width in sorted(merged)}

@@ -40,12 +40,11 @@ shared with the kernels, and sums exactly only the rows that can reach
 the k-th total (about ``k``, in one batch), which are the rows the
 kernel's answer needs; every other scoring fills each row it reaches,
 so it pays for roughly the rows above its stop depth, once.  Specs
-that force an algorithm skip the estimate
-unless adaptive feedback or a network-transport decision reads it.
-The planner keeps no plans: the service plans only on a cache miss,
-and each cache entry keeps the plan that computed it.  Statistics are
-kept for at most :func:`repro.columnar.scoring_capacity` scorings
-(oldest out), as the memos are.
+that force an algorithm skip the estimate unless adaptive feedback
+reads it.  The planner keeps no plans: the service plans only on a
+cache miss, and each cache entry keeps the plan that computed it.
+Statistics are kept for at most :func:`repro.columnar.scoring_capacity`
+scorings (oldest out), as the memos are.
 """
 
 from __future__ import annotations
@@ -74,14 +73,6 @@ if TYPE_CHECKING:
 #: fact, not a cost estimate.
 AUTO_CANDIDATES = ("ta", "bpa", "bpa2")
 
-#: Algorithms with a distributed driver over the simulated network.
-NETWORK_ALGORITHMS = frozenset({"ta", "bpa", "bpa2"})
-
-#: Rough per-message envelope overhead (kind string + framing) and
-#: per-access payload bytes used by the network-cost predictions.
-_MESSAGE_OVERHEAD_BYTES = 16.0
-_ACCESS_PAYLOAD_BYTES = 24.0
-
 
 @dataclass(frozen=True)
 class ServicePolicy:
@@ -95,25 +86,6 @@ class ServicePolicy:
         overfetch: whether to round ``k`` up to a power-of-two bucket
             when caching is enabled, so queries differing only in ``k``
             share cache entries.
-        wire_protocol: wire protocol for networked queries — ``"auto"``
-            picks the one minimizing the cost model's network cost
-            (ties to batch), or force ``"entry"`` / ``"batch"`` /
-            ``"pipelined"`` (pipelined ships exactly the batched
-            messages as overlapped waves, so the message/byte model
-            cannot distinguish them; forcing it trades nothing and wins
-            wall-clock on real fabrics).
-        block_width: sorted/direct block width for networked queries
-            (``1`` = the classic per-entry round structure; wider blocks
-            run the ``*-block`` round planners).
-        owners: owner-process count for networked queries (``0`` keeps
-            one owner per list).  With fewer owners than lists the
-            transport co-locates lists per
-            :class:`repro.distributed.placement.ClusterPlacement` and
-            coalesces each round wave into one frame per owner — the
-            planner's message model scales with the owner count
-            accordingly.
-        placement: list-to-owner assignment strategy when ``owners`` is
-            set (``"contiguous"`` or ``"striped"``).
         delta_log_depth: how many mutations the service's
             :class:`repro.dynamic.MutationLog` retains for delta-aware
             cache reuse.  Cache entries older than the log's retention
@@ -147,10 +119,9 @@ class ServicePolicy:
             top-k on next touch.  ``0`` disables the boundary cache.
         adaptive: close the control loop
             (:mod:`repro.service.feedback`): calibrate predicted costs
-            with observed latencies, tune ``block_width`` online per
-            transport, and watch the workload for drift.  Answers are
-            bit-identical either way — adaptation only moves which
-            exact plan runs.
+            with observed latencies and watch the workload for drift.
+            Answers are bit-identical either way — adaptation only moves
+            which exact plan runs.
         feedback_blend: weight of the observation when blending with
             the static prediction (``CostModel.calibrate``).
         feedback_min_samples: observations an arm needs before it
@@ -165,11 +136,6 @@ class ServicePolicy:
 
     allow_random: bool = True
     overfetch: bool = True
-    transport: str = "auto"  #: ``"auto"`` | ``"local"`` | ``"network"``
-    wire_protocol: str = "auto"
-    block_width: int = 1
-    owners: int = 0
-    placement: str = "contiguous"
     delta_log_depth: int = 256
     delta_patch_limit: int = 8
     snapshot_patch_budget: int = 64
@@ -184,30 +150,6 @@ class ServicePolicy:
     drift_threshold: float = 0.6
 
     def __post_init__(self) -> None:
-        # Validated here, not at first use: a typo'd transport would
-        # otherwise surface mid-workload (or never, when no query
-        # qualifies for a transport decision at all).
-        if self.transport not in ("auto", "local", "network"):
-            raise ValueError(
-                f"unknown transport policy {self.transport!r}; "
-                "expected 'auto', 'local' or 'network'"
-            )
-        if self.wire_protocol not in ("auto", "entry", "batch", "pipelined"):
-            raise ValueError(
-                f"unknown wire protocol policy {self.wire_protocol!r}; "
-                "expected 'auto', 'entry', 'batch' or 'pipelined'"
-            )
-        if self.block_width < 1:
-            raise ValueError(
-                f"block_width must be >= 1, got {self.block_width}"
-            )
-        if self.owners < 0:
-            raise ValueError(f"owners must be >= 0, got {self.owners}")
-        if self.placement not in ("contiguous", "striped"):
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; "
-                "expected 'contiguous' or 'striped'"
-            )
         if self.delta_log_depth < 0:
             raise ValueError(
                 f"delta_log_depth must be >= 0, got {self.delta_log_depth}"
@@ -269,9 +211,6 @@ class PlanDecision:
     k_fetch: int  #: k actually executed/cached (>= k_requested)
     predicted_costs: Mapping[str, float] = field(default_factory=dict)
     reason: str = ""
-    #: ``"local"`` (shard pool) or ``"network-entry"`` / ``"network-batch"``
-    #: (simulated network under the named wire protocol).
-    transport: str = "local"
 
     @property
     def overfetched(self) -> bool:
@@ -497,11 +436,6 @@ class QueryPlanner:
         """The runtime feedback store, when adaptive planning is on."""
         return self._feedback
 
-    @property
-    def overfetch_override(self) -> bool | None:
-        """Drift-tuned overfetch override (``None`` = policy default)."""
-        return self._overfetch_override
-
     def set_overfetch_override(self, value: bool | None) -> None:
         """Override the policy's overfetch knob online (drift re-tune)."""
         self._overfetch_override = value
@@ -585,99 +519,6 @@ class QueryPlanner:
             for name, tally in self.predicted_tallies(k, scoring).items()
         }
 
-    def predicted_network(
-        self, algorithm: str, k: int, scoring: ScoringFunction
-    ) -> dict[str, dict[str, float]]:
-        """Predicted wire traffic per protocol for one networked query.
-
-        Per-entry RPC pays two messages per access; the batched protocol
-        coalesces a round's lookups per owner (four messages per owner
-        per round — one owner per list unless the policy's ``owners``
-        knob co-locates lists, in which case each wave is one frame per
-        owner *process* and the message model scales with the owner
-        count, not the list count).  Bytes are estimated from the access
-        payloads plus a per-message envelope — rough, but ranked the
-        same way the counted ones come out (``NetworkStats``).
-        """
-        if algorithm not in NETWORK_ALGORITHMS:
-            raise InvalidQueryError(
-                f"no distributed driver for {algorithm!r}; "
-                f"networked algorithms: {sorted(NETWORK_ALGORITHMS)}"
-            )
-        tally = self.predicted_tallies(k, scoring)[algorithm]
-        m = self._database.m
-        owners = m if self._policy.owners <= 0 else min(m, self._policy.owners)
-        rounds = max(1, (tally.sorted + tally.direct) // max(1, m))
-        # Wider blocks coalesce whole rounds into each message wave; a
-        # partial final block still costs one wave, hence the ceiling.
-        block_rounds = max(
-            1, math.ceil(rounds / max(1, self._policy.block_width))
-        )
-        payload = tally.total * _ACCESS_PAYLOAD_BYTES
-        entry_messages = 2 * tally.total
-        batch_messages = 4 * owners * block_rounds
-        batched = {
-            "messages": batch_messages,
-            "bytes": payload + batch_messages * _MESSAGE_OVERHEAD_BYTES,
-        }
-        return {
-            "entry": {
-                "messages": entry_messages,
-                "bytes": payload + entry_messages * _MESSAGE_OVERHEAD_BYTES,
-            },
-            "batch": batched,
-            # Pipelining overlaps the batched waves: identical messages
-            # and bytes, lower wall-clock (which this byte-denominated
-            # model cannot see — the policy's wire_protocol selects it).
-            "pipelined": dict(batched),
-        }
-
-    def choose_transport(
-        self, algorithm: str, k: int, scoring: ScoringFunction
-    ) -> tuple[str, str]:
-        """Resolve the policy's transport setting for one query.
-
-        Returns ``(transport, reason)``.  Under ``"network"`` the wire
-        protocol is the one minimizing the cost model's network cost
-        (ties go to batch, which never ships more than per-entry).
-        Under ``"auto"`` the decision is the sign of the wire
-        *surcharge*: the simulated network runs the same unified
-        drivers as local execution, so its total is the local cost plus
-        :meth:`repro.types.CostModel.network_cost` — network wins only
-        under a cost model that prices the wire negatively, i.e. one
-        modeling data that is already remote, where local access
-        carries the transfer penalty instead.
-        """
-        setting = self._policy.transport
-        if setting == "local" or algorithm not in NETWORK_ALGORITHMS:
-            return "local", "transport: local shard pool"
-        wire = self.predicted_network(algorithm, k, scoring)
-        model = self._model
-        if self._policy.wire_protocol != "auto":
-            protocol = self._policy.wire_protocol
-        else:
-            protocol = min(
-                ("batch", "entry"),
-                key=lambda name: model.network_cost(
-                    wire[name]["messages"], wire[name]["bytes"]
-                ),
-            )
-        if setting == "network":
-            return (
-                f"network-{protocol}",
-                f"transport forced to network; {protocol} protocol predicts "
-                f"{wire[protocol]['messages']:,.0f} messages",
-            )
-        surcharge = model.network_cost(
-            wire[protocol]["messages"], wire[protocol]["bytes"]
-        )
-        if surcharge < 0:
-            return f"network-{protocol}", "network predicted cheaper"
-        return (
-            "local",
-            f"transport: local (network adds {surcharge:,.0f} predicted cost)",
-        )
-
     def choose_shard_count(
         self,
         *,
@@ -750,7 +591,7 @@ class QueryPlanner:
         k_requested = min(spec.k, n)
         k_fetch = self.fetch_k(spec, cache_enabled=cache_enabled)
         # The stop-depth estimate is the one per-scoring O(depth) cost of
-        # planning; a forced local plan never reads it.
+        # planning; a forced plan never reads it.
         costs: dict[str, float] = {}
         if spec.algorithm == "auto" or self._feedback is not None:
             costs = self.predicted_costs(k_fetch, spec.scoring)
@@ -804,29 +645,6 @@ class QueryPlanner:
                 f"({costs[algorithm]:,.0f})"
             )
 
-        transport = "local"
-        if (
-            algorithm in NETWORK_ALGORITHMS
-            and self._policy.transport != "local"
-        ):
-            if spec.options:
-                # The distributed drivers run default configs only, so
-                # option-carrying queries stay on the shard pool — say
-                # so when the policy explicitly forced the network.
-                if self._policy.transport == "network":
-                    reason = (
-                        f"{reason}; transport: local (options pin the "
-                        "query to the shard pool)"
-                    )
-            elif self._wire_may_win():
-                if not costs:
-                    costs = self.predicted_costs(k_fetch, spec.scoring)
-                transport, transport_reason = self.choose_transport(
-                    algorithm, k_fetch, spec.scoring
-                )
-                if transport != "local":
-                    reason = f"{reason}; {transport_reason}"
-
         instance = get_algorithm(algorithm, **dict(spec.options))
         backend = "kernel" if instance.fast_kernel() is not None else "reference"
         return PlanDecision(
@@ -836,18 +654,4 @@ class QueryPlanner:
             k_fetch=k_fetch,
             predicted_costs=costs,
             reason=reason,
-            transport=transport,
         )
-
-    def _wire_may_win(self) -> bool:
-        """Whether :meth:`choose_transport` can answer anything but local.
-
-        Under ``"auto"`` the network wins only on a negative wire
-        surcharge, which needs a cost model pricing messages or bytes
-        below zero; otherwise the answer is local whatever the stop
-        estimate, and the plan skips it.
-        """
-        if self._policy.transport == "network":
-            return True
-        model = self._model
-        return model.message_cost < 0 or model.byte_cost < 0

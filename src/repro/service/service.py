@@ -6,12 +6,13 @@ one submit path::
     cache lookup -> plan (on a miss) -> shard fan-out -> merge -> truncate
     (epoch-checked LRU) (planner)       (ShardExecutor)   (exact) (k-overfetch)
 
-The cache is keyed by the *request* (requested algorithm, bucketed
-``k``, scoring, options), so a reused answer is served without
-planning; its entry keeps the plan that computed it.  Every answer
-comes with a :class:`ServiceStats` record: that plan, whether the cache
-answered, the shard fan-out, the exact access tallies the execution
-performed, and the wall-clock latency.
+Every query executes on the shard pool; running a query over list
+owners is :mod:`repro.distributed`'s job.  The cache is keyed by the
+*request* (requested algorithm, bucketed ``k``, scoring, options), so a
+reused answer is served without planning; its entry keeps the plan that
+computed it.  Every answer comes with a :class:`ServiceStats` record:
+that plan, whether the cache answered, the shard fan-out, the exact
+access tallies the execution performed, and the wall-clock latency.
 
 **Serving over mutable data.**  A service built from a
 :class:`repro.dynamic.DynamicDatabase` subscribes to its mutation
@@ -33,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,17 +71,13 @@ class ServiceStats:
     coalesced: bool = False
     #: the AIMD controller's concurrency window when this query started
     #: executing (0: not admitted through a controller — serial submits,
-    #: cache hits, coalesced waits and fixed-semaphore replays)
+    #: cache hits, coalesced waits and semaphore-gated submits)
     concurrency_window: int = 0
     #: how the result cache answered: ``"hit"`` (same epoch),
     #: ``"revalidated"`` (delta proven harmless), ``"patched"`` (touched
     #: items re-scored and re-merged), or ``"miss"`` (executed fresh;
     #: coalesced reuses of an in-flight execution also report ``"hit"``).
     cache_outcome: str = "miss"
-    #: the block width the networked execution actually used (the
-    #: adaptive controller's current width, or the policy's static one);
-    #: 0 when the query did not execute over a network transport.
-    effective_block_width: int = 0
 
 
 class AdaptiveConcurrency:
@@ -355,8 +352,8 @@ class QueryService:
         self._pool = pool
         self._policy = policy
         self._cost_model = cost_model
-        #: the adaptive control loop's state (feedback store, width
-        #: controllers, drift detector); survives snapshot rebuilds.
+        #: the adaptive control loop's state (feedback store, drift
+        #: detector); survives snapshot rebuilds.
         self._adaptive = None
         if knobs.adaptive:
             from repro.service.feedback import AdaptiveState
@@ -586,104 +583,30 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _execute_plan(self, plan: PlanDecision, spec: QuerySpec) -> TopKResult:
-        """Run one planned query on the chosen transport.
+        """Run one planned query on the shard pool.
 
         With adaptive mode on, every execution (this thread or a
-        ``submit_async`` worker) is timed and fed back: the plan's arm
-        in the feedback store, and — for networked runs — the
-        transport's width controller, whose :class:`WidthProbe` the
-        drivers consult at every round.
+        ``submit_async`` worker) is timed and folded into its arm of the
+        feedback store.
         """
-        adaptive = self._adaptive
         started = time.perf_counter()
-        if plan.transport.startswith("network-"):
-            # The simulated network as transport: the same unified
-            # drivers the shard path replays, over list-owner nodes.
-            from repro.distributed.algorithms import (
-                DistributedBPA,
-                DistributedBPA2,
-                DistributedTA,
-            )
-            from repro.service.feedback import WidthProbe, plan_signature
-
-            driver_cls = {
-                "ta": DistributedTA,
-                "bpa": DistributedBPA,
-                "bpa2": DistributedBPA2,
-            }[plan.algorithm]
-            protocol = plan.transport.split("-", 1)[1]
-            policy = self._planner.policy
-            width: object = policy.block_width
-            controller = None
-            if adaptive is not None:
-                controller = adaptive.controller_for(
-                    plan.transport,
-                    plan_signature(spec.scoring, plan.k_fetch),
-                )
-                width = WidthProbe(controller)
-            result = driver_cls(
-                protocol=protocol,
-                block_width=width,
-                owners=policy.owners if policy.owners > 0 else None,
-                placement=policy.placement,
-            ).run(self._executor.database, plan.k_fetch, spec.scoring)
-            if adaptive is not None:
-                seconds = time.perf_counter() - started
-                result.extras["block_width"] = width.last
-                controller.record(
-                    seconds=seconds,
-                    rounds=result.rounds,
-                    fetched_positions=width.total,
-                    stop_position=max(1, result.stop_position),
-                    k=plan.k_fetch,
-                )
-                network = result.extras.get("network") or {}
-                self._record_feedback(
-                    plan,
-                    spec,
-                    seconds,
-                    rounds=result.rounds,
-                    messages=int(network.get("messages", 0)),
-                )
-            return result
         result = self._executor.run(
             plan.algorithm, spec.options, plan.k_fetch, spec.scoring
         )
-        if adaptive is not None:
-            self._record_feedback(
-                plan,
-                spec,
-                time.perf_counter() - started,
-                rounds=result.rounds,
-                messages=0,
+        if self._adaptive is not None:
+            from repro.service.feedback import plan_signature
+
+            feedback = self._adaptive.feedback
+            feedback.record(
+                algorithm=plan.algorithm,
+                signature=plan_signature(spec.scoring, plan.k_fetch),
+                predicted_cost=float(
+                    plan.predicted_costs.get(plan.algorithm, 0.0)
+                ),
+                seconds=time.perf_counter() - started,
             )
+            self.counters.replans = feedback.replans
         return result
-
-    def _record_feedback(
-        self,
-        plan: PlanDecision,
-        spec: QuerySpec,
-        seconds: float,
-        *,
-        rounds: int,
-        messages: int,
-    ) -> None:
-        """Fold one completed execution into the feedback store."""
-        from repro.service.feedback import plan_signature
-
-        feedback = self._adaptive.feedback
-        feedback.record(
-            algorithm=plan.algorithm,
-            transport=plan.transport,
-            signature=plan_signature(spec.scoring, plan.k_fetch),
-            predicted_cost=float(
-                plan.predicted_costs.get(plan.algorithm, 0.0)
-            ),
-            seconds=seconds,
-            rounds=rounds,
-            messages=messages,
-        )
-        self.counters.replans = feedback.replans
 
     def _observe_drift(self, spec: QuerySpec, plan: PlanDecision) -> None:
         """Stream one query into the drift detector; re-tune on an epoch.
@@ -757,9 +680,6 @@ class QueryService:
     ) -> ServiceResult:
         served = self._truncate(full, plan)
         reused = outcome != "miss" or coalesced
-        executed_networked = (
-            not reused and plan.transport.startswith("network-")
-        )
         stats = ServiceStats(
             plan=plan,
             cache_hit=reused,
@@ -771,11 +691,6 @@ class QueryService:
             coalesced=coalesced,
             concurrency_window=window,
             cache_outcome="hit" if coalesced else outcome,
-            effective_block_width=(
-                int(full.extras.get("block_width", 1))
-                if executed_networked
-                else 0
-            ),
         )
         self.counters.queries += 1
         self.counters.cache_hits += reused
@@ -1026,33 +941,20 @@ class QueryService:
         specs: Sequence[QuerySpec],
         *,
         concurrency: int = 8,
-        adaptive: bool = True,
     ) -> list[ServiceResult]:
         """Answer a batch concurrently; results come back in spec order.
 
-        Admission is adaptive by default: an :class:`AdaptiveConcurrency`
+        Admission is adaptive: an :class:`AdaptiveConcurrency`
         controller starts at half the ceiling and AIMD-tunes the window
         from each execution's observed latency, with ``concurrency`` as
         the ceiling; every executed query's :class:`ServiceStats` records
-        the window it was admitted under.  Pass ``adaptive=False`` for
-        the legacy fixed semaphore of exactly ``concurrency`` permits.
-        Cache hits and coalesced waits are never throttled — they do no
-        work.
+        the window it was admitted under.  Cache hits and coalesced
+        waits are never throttled — they do no work.
         """
-        if adaptive:
-            limiter = AdaptiveConcurrency(max_window=max(1, concurrency))
-            return list(
-                await asyncio.gather(
-                    *(
-                        self.submit_async(spec, limiter=limiter)
-                        for spec in specs
-                    )
-                )
-            )
-        semaphore = asyncio.Semaphore(max(1, concurrency))
+        limiter = AdaptiveConcurrency(max_window=max(1, concurrency))
         return list(
             await asyncio.gather(
-                *(self.submit_async(spec, semaphore=semaphore) for spec in specs)
+                *(self.submit_async(spec, limiter=limiter) for spec in specs)
             )
         )
 
@@ -1061,12 +963,9 @@ class QueryService:
         specs: Sequence[QuerySpec],
         *,
         concurrency: int = 8,
-        adaptive: bool = True,
     ) -> list[ServiceResult]:
         """Synchronous convenience wrapper around :meth:`gather_many`."""
-        return asyncio.run(
-            self.gather_many(specs, concurrency=concurrency, adaptive=adaptive)
-        )
+        return asyncio.run(self.gather_many(specs, concurrency=concurrency))
 
     # ------------------------------------------------------------------
     # Standing queries
@@ -1180,25 +1079,18 @@ class QueryService:
     def _reverse_execute(self, scoring, k: int):
         """One exact certified top-k for the reverse engine's fallback.
 
-        Runs through the planner and the normal execution transports —
-        but **never** through the result cache: a cached entry may be a
-        tie-shifted sibling of the canonical answer (the cache's
-        ``answers_match`` contract), while reverse membership is defined
-        bit-exactly against the ``(-score, id)`` order.  Fresh merges
-        are canonical, so the returned entries decide membership by
-        plain lookup.  The query is forced, so its plan skips the
-        planner walk unless a network-transport decision reads the
-        estimate.  On the local transport it is forced to BPA, whose
-        kernel is the stop-depth search: it never stops deeper than TA
-        and builds no scalar layout.  Over the network it is forced to
-        BPA2, whose direct accesses send fewer messages than BPA's
-        sorted and random ones.
+        Runs through the planner and the shard pool — but **never**
+        through the result cache: a cached entry may be a tie-shifted
+        sibling of the canonical answer (the cache's ``answers_match``
+        contract), while reverse membership is defined bit-exactly
+        against the ``(-score, id)`` order.  Fresh merges are canonical,
+        so the returned entries decide membership by plain lookup.  The
+        query is forced to BPA, so its plan skips the planner walk, and
+        BPA's kernel is the stop-depth search: it never stops deeper
+        than TA and builds no scalar layout.
         """
         spec = QuerySpec(algorithm="bpa", k=k, scoring=scoring)
         plan = self._planner.plan(spec, cache_enabled=False)
-        if plan.transport != "local":
-            spec = QuerySpec(algorithm="bpa2", k=k, scoring=scoring)
-            plan = self._planner.plan(spec, cache_enabled=False)
         full = self._execute_plan(plan, spec)
         return self._truncate(full, plan).items
 

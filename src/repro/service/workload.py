@@ -270,14 +270,6 @@ def _adaptive_summary(service: QueryService) -> dict | None:
         "drift_epochs": service.counters.drift_epochs,
         "replans": service.counters.replans,
         "arms": state.feedback.arm_count,
-        "width_histogram": {
-            str(width): count
-            for width, count in state.width_histogram().items()
-        },
-        "width_adjustments": sum(
-            controller.adjustments
-            for controller in state.controllers.values()
-        ),
         "overfetch_override": state.overfetch_override,
         "last_drift_divergence": state.drift.last_divergence,
     }

@@ -83,20 +83,11 @@ class CostModel:
     The paper's evaluation (Section 6.1) uses ``cs = 1`` and
     ``cr = log2(n)`` and charges each BPA2 direct access like a random
     access.  :meth:`for_database_size` builds exactly that model.
-
-    The *network extension* prices distributed execution the way the
-    paper's Section 6.1 metric 2 argues — by messages and payload bytes:
-    ``message_cost`` is the per-message overhead and ``byte_cost`` the
-    per-payload-byte cost, both in the same units as the access costs
-    (zero by default: a purely local model).  The query planner uses
-    :meth:`network_cost` to choose transport and wire protocol.
     """
 
     sorted_cost: float = 1.0
     random_cost: float = 1.0
     direct_cost: float | None = None  # ``None`` means "same as random"
-    message_cost: float = 0.0
-    byte_cost: float = 0.0
 
     @classmethod
     def paper(cls, n: int) -> "CostModel":
@@ -117,18 +108,6 @@ class CostModel:
             tally.sorted * self.sorted_cost
             + tally.random * self.random_cost
             + tally.direct * direct_cost
-        )
-
-    def network_cost(self, messages: int, payload_bytes: int) -> float:
-        """Communication cost of shipping this many messages/bytes."""
-        return messages * self.message_cost + payload_bytes * self.byte_cost
-
-    def total_cost(
-        self, tally: AccessTally, *, messages: int = 0, payload_bytes: int = 0
-    ) -> float:
-        """Execution plus communication cost of one run."""
-        return self.execution_cost(tally) + self.network_cost(
-            messages, payload_bytes
         )
 
     def calibrate(

@@ -1,47 +1,32 @@
 """Differential proof that adaptive planning is a pure optimization.
 
 The control loop (:mod:`repro.service.feedback`) may move a query
-between algorithms, transports and block widths at any moment — but
-every candidate is exact, so the *only* observable difference allowed
-is cost.  Hypothesis drives three claims:
+between algorithms at any moment — but every candidate is exact, so the
+*only* observable difference allowed is cost.  Hypothesis drives three
+claims:
 
 * every adaptive decision stays on the valid configuration lattice
-  (auto candidates, ``WIDTH_LATTICE`` widths, ``k_fetch >= k``);
+  (auto candidates, ``k_fetch >= k``);
 * answers are bit-identical to a static cache-off service, phase
   shifts, adversarial outliers and drift re-tuning included;
 * hysteresis holds: once converged on a stationary workload, the
   feedback store re-plans at most once more (no flapping between
   near-tied arms).
-
-Plus the width-provider equivalence the probe relies on: a *callable*
-block width returning a constant is indistinguishable from the static
-width — same items, rounds and wire traffic.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import ColumnarDatabase
 from repro.datagen import make_generator
-from repro.distributed.algorithms import (
-    DistributedBPA,
-    DistributedBPA2,
-    DistributedTA,
-)
 from repro.exec import QuerySpec
-from repro.scoring import SUM
 from repro.service import QueryService, ServicePolicy
-from repro.service.feedback import WIDTH_LATTICE
 from repro.service.planner import AUTO_CANDIDATES
 from repro.service.workload import WorkloadConfig, build_workload
 
 ADAPTIVE_POLICY = dict(
-    transport="network",
-    wire_protocol="batch",
-    block_width=4,
     adaptive=True,
     feedback_min_samples=1,
     drift_window=8,
@@ -118,12 +103,6 @@ class TestAdaptiveIsAPureOptimization:
                 plan = result.stats.plan
                 assert plan.algorithm in AUTO_CANDIDATES
                 assert plan.k_fetch >= min(spec.k, database.n)
-                assert result.stats.effective_block_width in (
-                    0,
-                    *WIDTH_LATTICE,
-                )
-            for controller in service.adaptive_state.controllers.values():
-                assert controller.width in WIDTH_LATTICE
 
     def test_stationary_workload_replans_at_most_once_after_convergence(
         self,
@@ -149,48 +128,3 @@ class TestAdaptiveIsAPureOptimization:
             )
             # Stationary shape: the drift detector must stay quiet.
             assert service.counters.drift_epochs == 0
-
-
-class TestCallableWidthEquivalence:
-    @pytest.mark.parametrize(
-        "driver_cls", [DistributedTA, DistributedBPA, DistributedBPA2]
-    )
-    def test_degenerate_callable_width_one_serves_identical_answers(
-        self, driver_cls
-    ):
-        # A callable width always routes through the *block* planner;
-        # at width 1 its frame pattern differs from the plain plan, but
-        # the answer must not.
-        database = _database("uniform", 200, 3, 9)
-        plain = driver_cls(protocol="batch", block_width=1).run(
-            database, 7, SUM
-        )
-        blocked = driver_cls(
-            protocol="batch", block_width=lambda: 1
-        ).run(database, 7, SUM)
-        assert blocked.items == plain.items
-
-    @pytest.mark.parametrize(
-        "driver_cls", [DistributedTA, DistributedBPA, DistributedBPA2]
-    )
-    @pytest.mark.parametrize("width", [w for w in WIDTH_LATTICE if w > 1])
-    def test_constant_callable_matches_static_width(
-        self, driver_cls, width
-    ):
-        database = _database("uniform", 200, 3, 9)
-        static = driver_cls(protocol="batch", block_width=width).run(
-            database, 7, SUM
-        )
-        adaptive = driver_cls(
-            protocol="batch", block_width=lambda: width
-        ).run(database, 7, SUM)
-        assert adaptive.items == static.items
-        assert adaptive.rounds == static.rounds
-        assert (
-            adaptive.extras["network"]["messages"]
-            == static.extras["network"]["messages"]
-        )
-        assert (
-            adaptive.extras["network"]["bytes"]
-            == static.extras["network"]["bytes"]
-        )

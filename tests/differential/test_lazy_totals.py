@@ -41,12 +41,7 @@ from repro.errors import InvalidQueryError
 from repro.exec.keys import QuerySpec
 from repro.lists.database import Database
 from repro.scoring import AVERAGE, MAX, MIN, SUM, SumScoring, WeightedSumScoring
-from repro.service.planner import (
-    ListStatistics,
-    PlanDecision,
-    QueryPlanner,
-    ServicePolicy,
-)
+from repro.service.planner import ListStatistics, QueryPlanner, ServicePolicy
 from repro.service.service import _snapshot_dynamic
 from repro.service.workload import dynamic_from
 from repro.testing import score_matrix_strategy as score_matrices
@@ -375,13 +370,11 @@ class TestPlanIdentity:
             make_generator(family).generate(200, 4, seed=21)
             for family in ("uniform", "correlated", "gaussian", "zipf")
         ]
-        policies = [ServicePolicy(), ServicePolicy(transport="network")]
+        policies = [ServicePolicy()]
         walked = plan_grid(databases, policies, monkeypatch, full_scan=False)
         scanned = plan_grid(databases, policies, monkeypatch, full_scan=True)
-        assert len(walked) == 4 * 2 * 9 * (11 * 2 + 1)
+        assert len(walked) == 4 * 1 * 9 * (11 * 2 + 1)
         assert walked == scanned
-        plans = [d for d in walked if isinstance(d, PlanDecision)]
-        assert {plan.transport.split("-")[0] for plan in plans} == {"local", "network"}
 
 
 class TestConcurrentFills:

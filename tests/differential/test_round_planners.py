@@ -99,9 +99,6 @@ class TestDriverChecks:
         backend = NetworkBackend(database, include_position=True)
         with pytest.raises(ValueError, match="block width must be >= 1, got 0"):
             DRIVERS[name](backend, 2, SUM, width=0)
-        widths = iter([2, 0])
-        with pytest.raises(ValueError, match="block width must be >= 1, got 0"):
-            DRIVERS[name](backend, 10, SUM, width=lambda: next(widths))
 
     @pytest.mark.parametrize("name", ["bpa", "bpa-block"])
     def test_bpa_needs_positions(self, database, name):

@@ -273,10 +273,9 @@ class TestReuseStats:
             third = service.submit(QuerySpec("auto", k=5))
         computed, reused = first.stats.plan, second.stats.plan
         assert second.stats.cache_outcome == "hit"
-        assert (reused.algorithm, reused.backend, reused.transport) == (
+        assert (reused.algorithm, reused.backend) == (
             computed.algorithm,
             computed.backend,
-            computed.transport,
         )
         assert (reused.k_fetch, reused.k_requested) == (8, 5)
         assert reused == replace(computed, k_requested=5)

@@ -1,4 +1,4 @@
-"""The control loop's bookkeeping: arms, width AIMD, drift windows."""
+"""The control loop's bookkeeping: arms and drift windows."""
 
 from __future__ import annotations
 
@@ -6,12 +6,9 @@ import pytest
 
 from repro.scoring import MIN, SUM
 from repro.service.feedback import (
-    WIDTH_LATTICE,
     AdaptiveState,
-    BlockWidthController,
     DriftDetector,
     PlanFeedback,
-    WidthProbe,
     plan_signature,
     total_variation,
 )
@@ -22,12 +19,9 @@ from repro.types import CostModel
 def _record(feedback, algorithm, *, seconds, predicted=100.0, sig=("sum", 8)):
     feedback.record(
         algorithm=algorithm,
-        transport="local",
         signature=sig,
         predicted_cost=predicted,
         seconds=seconds,
-        rounds=3,
-        messages=12,
     )
 
 
@@ -57,10 +51,23 @@ class TestPlanFeedback:
         _record(feedback, "ta", seconds=0.01)
         _record(feedback, "ta", seconds=0.01)
         _record(feedback, "bpa", seconds=0.02)
-        assert feedback.samples("ta", "local", ("sum", 8)) == 2
-        assert feedback.samples("bpa", "local", ("sum", 8)) == 1
-        assert feedback.samples("bpa2", "local", ("sum", 8)) == 0
+        assert feedback.samples("ta", ("sum", 8)) == 2
+        assert feedback.samples("bpa", ("sum", 8)) == 1
+        assert feedback.samples("bpa2", ("sum", 8)) == 0
         assert feedback.arm_count == 2
+
+    def test_signatures_scope_arms_independently(self):
+        feedback = PlanFeedback(min_samples=1)
+        _record(feedback, "ta", seconds=0.01, sig=("sum", 8))
+        _record(feedback, "ta", seconds=0.04, sig=("sum", 16))
+        assert feedback.arm_count == 2
+        assert feedback.samples("ta", ("sum", 8)) == 1
+        assert feedback.samples("ta", ("sum", 16)) == 1
+        # One global rate converts both: each arm's cost is its own
+        # seconds over that rate, so the costs keep the seconds' ratio.
+        narrow = feedback.observed_cost("ta", ("sum", 8))
+        deep = feedback.observed_cost("ta", ("sum", 16))
+        assert deep == pytest.approx(4 * narrow)
 
     def test_explore_candidate_prefers_least_sampled(self):
         feedback = PlanFeedback(min_samples=2)
@@ -115,6 +122,15 @@ class TestPlanFeedback:
         # ta's observation equals its prediction (it seeded the rate).
         assert calibrated["ta"] == pytest.approx(100.0)
 
+    def test_unpriced_runs_leave_the_rate_unseeded(self):
+        # A forced algorithm the cost model does not price (qc) records
+        # a zero prediction: its arm matures, the rate stays unseeded.
+        feedback = PlanFeedback(min_samples=1)
+        sig = ("sum", 8)
+        _record(feedback, "qc", seconds=0.01, predicted=0.0, sig=sig)
+        assert feedback.samples("qc", sig) == 1
+        assert feedback.observed_cost("qc", sig) is None
+
     def test_invalidate_clears_incumbents(self):
         feedback = PlanFeedback(min_samples=1)
         sig = ("sum", 8)
@@ -124,124 +140,6 @@ class TestPlanFeedback:
             ("ta", "bpa"), {"ta": 1.0, "bpa": 2.0}, signature=sig
         )
         assert not replanned and "initial" in reason
-
-
-class TestBlockWidthController:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="lattice"):
-            BlockWidthController(initial=3)
-        with pytest.raises(ValueError, match="threshold"):
-            BlockWidthController(threshold=1.0)
-        with pytest.raises(ValueError, match="overshoot"):
-            BlockWidthController(overshoot_limit=1.0)
-        with pytest.raises(ValueError, match="patience"):
-            BlockWidthController(patience=0)
-
-    def test_steps_up_after_patience_deep_records(self):
-        controller = BlockWidthController(initial=1, patience=2)
-        for _ in range(2):
-            controller.record(
-                seconds=0.001, rounds=4, fetched_positions=4,
-                stop_position=4, k=4,
-            )
-        assert controller.width == 2
-        assert controller.adjustments == 1
-
-    def test_never_steps_up_when_width_covers_the_stop(self):
-        controller = BlockWidthController(initial=4, patience=1)
-        for _ in range(10):
-            controller.record(
-                seconds=0.001, rounds=1, fetched_positions=4,
-                stop_position=3, k=1,
-            )
-        assert controller.width == 4
-
-    def test_overshoot_steps_down_only_after_patience(self):
-        # k=1 query stopping at position 1 but fetching a whole block
-        # of 16: provable need is 1, overshoot is 16x.
-        controller = BlockWidthController(
-            initial=16, patience=2, overshoot_limit=3.0
-        )
-        controller.record(
-            seconds=0.001, rounds=1, fetched_positions=16,
-            stop_position=1, k=1,
-        )
-        assert controller.width == 16  # one bad record: patience holds
-        controller.record(
-            seconds=0.001, rounds=1, fetched_positions=16,
-            stop_position=1, k=1,
-        )
-        assert controller.width == 8
-
-    def test_single_bad_record_does_not_break_an_up_streak(self):
-        controller = BlockWidthController(initial=8, patience=2)
-        deep = dict(seconds=0.001, rounds=2, fetched_positions=16,
-                    stop_position=16, k=16)
-        narrow = dict(seconds=0.001, rounds=1, fetched_positions=8,
-                      stop_position=1, k=1)
-        controller.record(**deep)
-        controller.record(**narrow)  # overshoots, but patience=2
-        controller.record(**deep)
-        controller.record(**deep)
-        assert controller.width == 16
-
-    def test_slow_rounds_step_down_from_latency_alone(self):
-        controller = BlockWidthController(
-            initial=8, patience=1, threshold=2.0
-        )
-        covered = dict(rounds=1, fetched_positions=4, stop_position=2, k=2)
-        controller.record(seconds=0.001, **covered)  # seeds the baseline
-        controller.record(seconds=0.010, **covered)  # 10x the baseline
-        assert controller.width == 4
-
-    def test_width_stays_on_lattice_at_both_ends(self):
-        controller = BlockWidthController(initial=1, patience=1)
-        for _ in range(5):
-            controller.record(
-                seconds=0.001, rounds=1, fetched_positions=64,
-                stop_position=1, k=1,
-            )
-        assert controller.width == 1
-        controller = BlockWidthController(initial=16, patience=1)
-        for _ in range(10):
-            controller.record(
-                seconds=0.001, rounds=8, fetched_positions=128,
-                stop_position=128, k=64,
-            )
-        assert controller.width == 16
-
-    def test_histogram_counts_the_width_each_record_ran_at(self):
-        controller = BlockWidthController(initial=1, patience=1)
-        controller.record(
-            seconds=0.001, rounds=2, fetched_positions=2,
-            stop_position=2, k=2,
-        )
-        controller.record(
-            seconds=0.001, rounds=1, fetched_positions=2,
-            stop_position=4, k=2,
-        )
-        assert controller.width_histogram[1] == 1
-        assert controller.width_histogram[2] == 1
-
-
-class TestWidthProbe:
-    def test_tracks_last_total_and_calls(self):
-        controller = BlockWidthController(initial=4)
-        probe = WidthProbe(controller)
-        assert probe() == 4
-        assert probe() == 4
-        assert (probe.last, probe.total, probe.calls) == (4, 8, 2)
-
-    def test_follows_the_controller_live(self):
-        controller = BlockWidthController(initial=2, patience=1)
-        probe = WidthProbe(controller)
-        assert probe() == 2
-        controller.record(
-            seconds=0.001, rounds=2, fetched_positions=4,
-            stop_position=4, k=4,
-        )
-        assert probe() == 4
-        assert probe.last == 4
 
 
 class TestTotalVariation:
@@ -293,36 +191,35 @@ class TestDriftDetector:
         assert list(detector.recent_k) == [2, 3, 4, 5]
         assert 0.0 < detector.distinct_ratio <= 1.0
 
+    def test_distinct_ratio_of_an_empty_window_is_zero(self):
+        assert DriftDetector(window=4).distinct_ratio == 0.0
+
 
 class TestAdaptiveState:
-    def test_from_policy_seeds_controllers_at_policy_width(self):
+    def test_from_policy_carries_the_feedback_knobs(self):
         state = AdaptiveState.from_policy(
-            ServicePolicy(adaptive=True, block_width=8)
-        )
-        assert state.controller_for("network-batch").width == 8
-
-    def test_off_lattice_policy_width_falls_back_to_one(self):
-        state = AdaptiveState.from_policy(
-            ServicePolicy(adaptive=True, block_width=5)
-        )
-        assert state.controller_for("network-batch").width == 1
-
-    def test_signature_scopes_controllers_independently(self):
-        state = AdaptiveState.from_policy(ServicePolicy(adaptive=True))
-        narrow = state.controller_for("network-batch", ("sum", 1))
-        deep = state.controller_for("network-batch", ("sum", 16))
-        assert narrow is not deep
-        assert state.controller_for("network-batch", ("sum", 1)) is narrow
-
-    def test_width_histogram_merges_across_controllers(self):
-        state = AdaptiveState.from_policy(ServicePolicy(adaptive=True))
-        for signature in (("sum", 1), ("sum", 16)):
-            state.controller_for("network-batch", signature).record(
-                seconds=0.001, rounds=1, fetched_positions=1,
-                stop_position=1, k=1,
+            ServicePolicy(
+                adaptive=True,
+                feedback_min_samples=3,
+                feedback_tolerance=0.1,
+                feedback_blend=0.75,
             )
-        assert state.width_histogram() == {1: 2}
+        )
+        feedback = state.feedback
+        assert (feedback.min_samples, feedback.tolerance, feedback.blend) == (
+            3,
+            0.1,
+            0.75,
+        )
 
-    def test_lattice_is_sorted_and_starts_at_one(self):
-        assert WIDTH_LATTICE[0] == 1
-        assert list(WIDTH_LATTICE) == sorted(WIDTH_LATTICE)
+    def test_from_policy_carries_the_drift_knobs(self):
+        state = AdaptiveState.from_policy(
+            ServicePolicy(adaptive=True, drift_window=8, drift_threshold=0.4)
+        )
+        assert (state.drift.window, state.drift.threshold) == (8, 0.4)
+
+    def test_starts_empty_with_no_overfetch_override(self):
+        state = AdaptiveState.from_policy(ServicePolicy(adaptive=True))
+        assert state.overfetch_override is None
+        assert (state.feedback.arm_count, state.feedback.replans) == (0, 0)
+        assert state.drift.epochs == 0

@@ -183,126 +183,6 @@ class TestShardAutoTuning:
             QueryService(columnar, shards=0)
 
 
-class TestTransportChoice:
-    def test_default_policy_plans_local(self, planner):
-        plan = planner.plan(QuerySpec("bpa2", k=5), cache_enabled=True)
-        assert plan.transport == "local"
-
-    def test_auto_never_pays_for_the_network(self, columnar):
-        from repro.types import CostModel
-
-        pricey = CostModel.paper(columnar.n)
-        pricey = CostModel(
-            sorted_cost=pricey.sorted_cost,
-            random_cost=pricey.random_cost,
-            message_cost=0.5,
-            byte_cost=0.01,
-        )
-        planner = QueryPlanner(columnar, cost_model=pricey)
-        plan = planner.plan(QuerySpec("ta", k=5), cache_enabled=True)
-        assert plan.transport == "local"
-
-    def test_forced_network_picks_the_cheaper_protocol(self, columnar):
-        from repro.types import CostModel
-
-        model = CostModel(message_cost=1.0, byte_cost=0.001)
-        planner = QueryPlanner(
-            columnar,
-            policy=ServicePolicy(transport="network"),
-            cost_model=model,
-        )
-        plan = planner.plan(QuerySpec("bpa2", k=5), cache_enabled=True)
-        # Batch never ships more messages or bytes than per-entry.
-        assert plan.transport == "network-batch"
-        assert "network" in plan.reason
-
-    def test_network_policy_keeps_local_for_undriven_algorithms(self, columnar):
-        planner = QueryPlanner(columnar, policy=ServicePolicy(transport="network"))
-        assert (
-            planner.plan(QuerySpec("naive", k=2), cache_enabled=True).transport
-            == "local"
-        )
-        # Non-default options have no distributed driver either.
-        assert (
-            planner.plan(
-                QuerySpec("ta", k=2, options={"memoize": True}),
-                cache_enabled=True,
-            ).transport
-            == "local"
-        )
-
-    def test_network_transport_serves_identical_answers(self, columnar):
-        from repro.service import QueryService
-
-        spec = QuerySpec("bpa", k=6)
-        with QueryService(columnar, pool="serial", cache_size=0) as local:
-            expected = local.submit(spec)
-        with QueryService(
-            columnar,
-            pool="serial",
-            cache_size=0,
-            policy=ServicePolicy(transport="network"),
-        ) as networked:
-            served = networked.submit(spec)
-        assert served.item_ids == expected.item_ids
-        assert served.scores == expected.scores
-        assert served.stats.plan.transport.startswith("network-")
-        assert "network" in served.result.extras
-
-    def test_predicted_network_rejects_undriven_algorithm(self, planner):
-        with pytest.raises(InvalidQueryError, match="no distributed driver"):
-            planner.predicted_network("naive", 5, SUM)
-
-    def test_typod_transport_policy_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown transport policy"):
-            ServicePolicy(transport="netwok")
-
-    def test_forced_network_with_options_annotates_the_pin(self, columnar):
-        planner = QueryPlanner(
-            columnar, policy=ServicePolicy(transport="network")
-        )
-        plan = planner.plan(
-            QuerySpec("ta", k=2, options={"memoize": True}), cache_enabled=True
-        )
-        # The forced network policy cannot apply (drivers run default
-        # configs); the override is dropped *visibly*, not silently.
-        assert plan.transport == "local"
-        assert "options pin the query to the shard pool" in plan.reason
-
-
-class TestBlockRoundArithmetic:
-    def test_partial_final_block_still_costs_a_wave(self, columnar):
-        # 3 predicted rounds at width 2 need ceil(3/2) = 2 waves — the
-        # old floor division under-billed the partial final block,
-        # making wide blocks look free exactly when they waste the most.
-        import math
-
-        def batch_messages(width):
-            planner = QueryPlanner(
-                columnar, policy=ServicePolicy(block_width=width)
-            )
-            return planner.predicted_network("ta", 5, SUM)["batch"]["messages"]
-
-        tally = QueryPlanner(columnar).predicted_tallies(5, SUM)["ta"]
-        rounds = max(1, (tally.sorted + tally.direct) // columnar.m)
-        for width in (1, 2, 3, 4, 7, 8, 16):
-            waves = max(1, math.ceil(rounds / width))
-            assert batch_messages(width) == 4 * columnar.m * waves
-
-    def test_wider_blocks_never_predict_more_messages(self, columnar):
-        previous = None
-        for width in (1, 2, 4, 8, 16):
-            planner = QueryPlanner(
-                columnar, policy=ServicePolicy(block_width=width)
-            )
-            messages = planner.predicted_network("ta", 5, SUM)["batch"][
-                "messages"
-            ]
-            if previous is not None:
-                assert messages <= previous
-            previous = messages
-
-
 class TestFeedbackDrivenPlanning:
     def _feedback_planner(self, columnar, **kwargs):
         from repro.service.feedback import PlanFeedback
@@ -321,7 +201,6 @@ class TestFeedbackDrivenPlanning:
             seen.add(plan.algorithm)
             feedback.record(
                 algorithm=plan.algorithm,
-                transport=plan.transport,
                 signature=plan_signature(SUM, plan.k_fetch),
                 predicted_cost=plan.predicted_costs[plan.algorithm],
                 seconds=0.001,
@@ -349,6 +228,54 @@ class TestFeedbackDrivenPlanning:
             ServicePolicy(drift_threshold=1.5)
 
 
+class TestPolicyRanges:
+    """Every ``ServicePolicy`` range check, on both sides of its edge."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("delta_log_depth", -1),
+            ("delta_patch_limit", -1),
+            ("snapshot_patch_budget", -1),
+            ("max_subscriptions", -1),
+            ("watch_patch_limit", -1),
+            ("reverse_boundary_limit", -1),
+            ("feedback_blend", -0.1),
+            ("feedback_blend", 1.1),
+            ("feedback_min_samples", 0),
+            ("feedback_tolerance", -0.01),
+            ("drift_window", 1),
+            ("drift_threshold", 0.0),
+            ("drift_threshold", 1.01),
+        ],
+    )
+    def test_rejects_a_value_past_the_edge(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ServicePolicy(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            # 0 switches the delta log, snapshot patching and the
+            # reverse boundary cache off; it is not an error.
+            ("delta_log_depth", 0),
+            ("delta_patch_limit", 0),
+            ("snapshot_patch_budget", 0),
+            ("max_subscriptions", 0),
+            ("watch_patch_limit", 0),
+            ("reverse_boundary_limit", 0),
+            ("feedback_blend", 0.0),
+            ("feedback_blend", 1.0),
+            ("feedback_min_samples", 1),
+            ("feedback_tolerance", 0.0),
+            ("drift_window", 2),
+            ("drift_threshold", 1.0),
+        ],
+    )
+    def test_accepts_the_edge_value(self, knob, value):
+        assert getattr(ServicePolicy(**{knob: value}), knob) == value
+
+
 class CountingScoring:
     """A weighted sum counting its calls; its default repr keys it by
     identity, so no other instance shares its statistics or memo."""
@@ -370,17 +297,13 @@ class TestForcedSpecsSkipTheEstimate:
     """The stop-depth estimate runs only where a decision reads it."""
 
     @pytest.mark.parametrize("algorithm", ("ta", "bpa", "bpa2", "nra", "qc"))
-    @pytest.mark.parametrize("transport", ("auto", "local"))
-    def test_forced_local_plan_makes_no_scoring_calls(
-        self, columnar, algorithm, transport
-    ):
-        planner = QueryPlanner(columnar, policy=ServicePolicy(transport=transport))
+    def test_forced_local_plan_makes_no_scoring_calls(self, columnar, algorithm):
+        planner = QueryPlanner(columnar)
         scoring = CountingScoring([0.7, 1.0, 0.2])
         plan = planner.plan(QuerySpec(algorithm, 10, scoring), cache_enabled=False)
         assert scoring.calls == 0
         assert plan.predicted_costs == {}
         assert plan.algorithm == algorithm
-        assert plan.transport == "local"
         assert plan.reason == "algorithm requested explicitly"
 
     def test_auto_plan_keeps_its_estimate(self, columnar):
@@ -393,34 +316,21 @@ class TestForcedSpecsSkipTheEstimate:
             AUTO_CANDIDATES, key=lambda name: plan.predicted_costs[name]
         )
 
-    def test_adaptive_forced_plan_keeps_its_estimate(self, columnar):
+    @pytest.mark.parametrize("algorithm", ("ta", "bpa", "bpa2", "nra", "qc"))
+    def test_adaptive_forced_plan_keeps_its_estimate(self, columnar, algorithm):
         from repro.service.feedback import PlanFeedback
 
         planner = QueryPlanner(columnar, feedback=PlanFeedback())
         scoring = CountingScoring([0.7, 1.0, 0.2])
-        plan = planner.plan(QuerySpec("bpa2", 10, scoring), cache_enabled=False)
-        assert plan.predicted_costs == planner.predicted_costs(10, scoring)
-
-    def test_network_forced_plan_keeps_its_estimate(self, columnar):
-        planner = QueryPlanner(columnar, policy=ServicePolicy(transport="network"))
-        plan = planner.plan(QuerySpec("bpa2", 10, SUM), cache_enabled=False)
-        assert plan.transport.startswith("network-")
-        assert plan.predicted_costs == planner.predicted_costs(10, SUM)
-
-    def test_auto_transport_estimates_when_the_wire_can_win(self, columnar):
-        from repro.types import CostModel
-
-        model = CostModel.paper(columnar.n)
-        remote = CostModel(
-            sorted_cost=model.sorted_cost,
-            random_cost=model.random_cost,
-            direct_cost=model.direct_cost,
-            message_cost=-1.0,
+        plan = planner.plan(
+            QuerySpec(algorithm, 10, scoring), cache_enabled=False
         )
-        planner = QueryPlanner(columnar, cost_model=remote)
-        plan = planner.plan(QuerySpec("bpa2", 10, SUM), cache_enabled=False)
-        assert plan.transport.startswith("network-")
-        assert plan.predicted_costs == planner.predicted_costs(10, SUM)
+        assert plan.algorithm == algorithm
+        assert plan.reason == "algorithm requested explicitly"
+        assert plan.predicted_costs == planner.predicted_costs(10, scoring)
+        # The model prices every algorithm but qc, whose runs then
+        # record a zero prediction and leave the feedback rate alone.
+        assert (algorithm in plan.predicted_costs) == (algorithm != "qc")
 
     def test_reverse_fallbacks_plan_without_the_estimate(self, columnar):
         from repro.service import QueryService
@@ -432,31 +342,6 @@ class TestForcedSpecsSkipTheEstimate:
             assert result.stats.fallbacks > 0
             # every fallback forced bpa: no scoring walked the lists
             assert len(service.planner._statistics) == 0
-
-    def test_networked_reverse_fallbacks_force_bpa2(self, columnar, monkeypatch):
-        from repro.reverse import brute_force_reverse_topk
-        from repro.service import QueryService, ServicePolicy
-
-        plans = []
-        execute = QueryService._execute_plan
-
-        def recorded(self, plan, spec):
-            plans.append((plan.algorithm, plan.transport))
-            return execute(self, plan, spec)
-
-        monkeypatch.setattr(QueryService, "_execute_plan", recorded)
-        policy = ServicePolicy(transport="network")
-        with QueryService(columnar, shards=1, pool="serial", policy=policy) as service:
-            registry = service.reverse_registry
-            registry.seed_users(12, columnar.m, seed=4)
-            item = service.submit(QuerySpec("bpa2", 1)).item_ids[0]
-            plans.clear()
-            result = service.submit_reverse(item, 5)
-        assert result.stats.fallbacks > 0
-        assert result.users == brute_force_reverse_topk(columnar, registry, item, 5)
-        # BPA2's direct accesses send fewer messages than BPA's
-        assert len(plans) == result.stats.fallbacks
-        assert all(name == "bpa2" and how.startswith("network-") for name, how in plans)
 
     def test_reverse_only_service_builds_no_scalar_layout(self, monkeypatch):
         from repro.columnar.database import DatabaseLayout
